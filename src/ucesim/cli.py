@@ -24,19 +24,17 @@ from collections import defaultdict
 import numpy as np
 
 from . import __version__
-from .column_sim import MAX_N_Q, dense_unitary_oracle, initial_column, simulate_first_column
+from .column_sim import MAX_N_Q, StateColumn, dense_unitary_oracle, simulate_first_column
 from .cue_ref import cue_correlator, cue_moment, sample_haar_first_column
 from .ensemble_stats import (
     ConvergenceCurve,
     StatisticKind,
     correlator_estimate,
     moment_estimate,
-    saturation_floor,
 )
 from .gateset import EnsembleConfig, circuit_to_text, sample_circuit
 from .runner import geometric_checkpoints, run_ensemble
 from .scaling import MODELS, NStarPoint, fit_model, n_star
-from .column_sim import StateColumn
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -160,11 +158,9 @@ def read_curves(paths) -> dict:
         for nq, points in by_nq.items():
             points.sort()
             n_r, seed = meta[(label, nq)]
-            curve = ConvergenceCurve(n_q=nq, statistic=StatisticKind.parse(label),
-                                     points=points, n_r=n_r, master_seed=seed)
-            if len(points) >= 4:
-                curve.d_min = saturation_floor(points)
-            curves[label][nq] = curve
+            curves[label][nq] = ConvergenceCurve(
+                n_q=nq, statistic=StatisticKind.parse(label), points=points,
+                n_r=n_r, master_seed=seed)
     return curves
 
 

@@ -11,11 +11,10 @@ independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .gateset import Circuit, CnotGate, Gate, SingleQubitGate, u2_matrix
+from .gateset import Circuit, Gate, SingleQubitGate, u2_matrix
 
 # Memory guard: 2**24 complex amplitudes = 256 MiB.
 MAX_N_Q = 24
@@ -62,22 +61,24 @@ def apply_single_qubit(state: StateColumn, q: int, m: np.ndarray) -> StateColumn
     return state
 
 
-@lru_cache(maxsize=None)
-def _cnot_swap_indices(n_q: int, c: int, t: int):
-    idx = np.arange(1 << n_q)
-    src = idx[(((idx >> c) & 1) == 1) & (((idx >> t) & 1) == 0)]
-    return src, src | (1 << t)
-
-
 def apply_cnot(state: StateColumn, c: int, t: int) -> StateColumn:
-    """Exchange the 2**(n_q-2) amplitude pairs with control bit 1, in place."""
+    """Exchange the 2**(n_q-2) amplitude pairs with control bit 1, in place.
+
+    The column is viewed as (high bits, bit hi, middle bits, bit lo, low
+    bits) with hi/lo the larger/smaller of c and t; the control-bit-1 slice
+    is reversed along the target axis. The only extra memory is numpy's
+    temporary copy of that slice, half the column.
+    """
     if c == t:
         raise ValueError("CNOT control and target must differ")
     if not (0 <= c < state.n_q and 0 <= t < state.n_q):
         raise IndexError("CNOT qubit index out of range")
-    src, dst = _cnot_swap_indices(state.n_q, c, t)
-    amps = state.amplitudes
-    amps[src], amps[dst] = amps[dst], amps[src]
+    lo, hi = (t, c) if c > t else (c, t)
+    a = state.amplitudes.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    if c > t:
+        a[:, 1] = a[:, 1, :, ::-1]
+    else:
+        a[:, :, :, 1] = a[:, ::-1, :, 1]
     return state
 
 

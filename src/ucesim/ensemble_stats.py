@@ -102,17 +102,13 @@ class Histogram:
     def bin_counts(self, values) -> np.ndarray:
         """Counts vector (underflow + bins) for a batch; does not mutate."""
         v = np.asarray(values, dtype=float)
-        out = np.zeros(self.bin_count + 1, dtype=np.int64)
-        if v.size == 0:
-            return out
-        if np.any(v > self.ln_n + _EDGE_TOL):
+        if (v > self.ln_n + _EDGE_TOL).any():
             raise ValueError("log-intensity above ln N: normalization bug")
-        v = np.minimum(v, self.ln_n)
-        under = v < self.l_min
-        out[0] = int(np.count_nonzero(under))
-        hist, _ = np.histogram(v[~under], bins=self.edges)
-        out[1:] = hist
-        return out
+        # Index k counts the edges <= v: 0 is underflow, k in 1..bin_count
+        # is [edges[k-1], edges[k]), and v >= ln N joins the last bin.
+        idx = np.searchsorted(self.edges, v, "right")
+        return np.bincount(np.minimum(idx, self.bin_count),
+                           minlength=self.bin_count + 1)
 
     def add(self, values) -> "Histogram":
         v = np.asarray(values, dtype=float)
@@ -144,11 +140,6 @@ def log_intensities(state: StateColumn) -> np.ndarray:
         return np.log(n * np.abs(state.amplitudes) ** 2)
 
 
-def accumulate(hist: Histogram, values) -> Histogram:
-    """Add a batch of log-intensity values to the histogram."""
-    return hist.add(values)
-
-
 def hellinger_distance(hist: Histogram) -> float:
     """D_P = 2 (1 - sum_b sqrt(p~_b p_b)) over underflow + regular bins."""
     p_emp = hist.empirical_masses()
@@ -161,6 +152,40 @@ def intensities(state: StateColumn) -> np.ndarray:
     return state.amplitudes.size * np.abs(state.amplitudes) ** 2
 
 
+def moment_sum(y: np.ndarray, k: int, row: int | None = None) -> tuple[float, int]:
+    """(sum of y^k, element count) over one column's intensities y.
+
+    With ``row`` given, only that element is probed (no column average).
+    """
+    if row is None:
+        return float((y ** k).sum()), y.size
+    return float(y[row] ** k), 1
+
+
+def correlator_sum(y: np.ndarray, k: int) -> tuple[float, int]:
+    """(sum of block products, block count) over one column's intensities y.
+
+    The column is split into floor(N/k) blocks of k consecutive elements;
+    leftovers are unused so no element enters two products.
+    """
+    if k > y.size:
+        raise ValueError(f"k={k} exceeds column length N={y.size}")
+    nb = y.size // k
+    return float(y[: nb * k].reshape(nb, k).prod(axis=1).sum()), nb
+
+
+def _mean_over_states(states, state_sum, *args) -> float:
+    total = 0.0
+    count = 0
+    for state in states:
+        s, n = state_sum(intensities(state), *args)
+        total += s
+        count += n
+    if count == 0:
+        raise ValueError("empty state stream")
+    return total / count
+
+
 def moment_estimate(states, k: int, row: int | None = None) -> float:
     """Mean of y^k over all column elements and realizations.
 
@@ -168,42 +193,14 @@ def moment_estimate(states, k: int, row: int | None = None) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    total = 0.0
-    count = 0
-    for state in states:
-        y = intensities(state)
-        if row is None:
-            total += float(np.sum(y ** k))
-            count += y.size
-        else:
-            total += float(y[row] ** k)
-            count += 1
-    if count == 0:
-        raise ValueError("empty state stream")
-    return total / count
+    return _mean_over_states(states, moment_sum, k, row)
 
 
 def correlator_estimate(states, k: int) -> float:
-    """Mean product of y over consecutive disjoint k-element blocks.
-
-    The column is split into floor(N/k) blocks of k consecutive elements;
-    leftovers are unused so no element enters two products.
-    """
+    """Mean product of y over consecutive disjoint k-element blocks."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    total = 0.0
-    count = 0
-    for state in states:
-        y = intensities(state)
-        if k > y.size:
-            raise ValueError(f"k={k} exceeds column length N={y.size}")
-        nb = y.size // k
-        blocks = y[: nb * k].reshape(nb, k)
-        total += float(np.sum(np.prod(blocks, axis=1)))
-        count += nb
-    if count == 0:
-        raise ValueError("empty state stream")
-    return total / count
+    return _mean_over_states(states, correlator_sum, k)
 
 
 def relative_deviation(estimate: float, reference: float) -> float:
@@ -215,14 +212,19 @@ def relative_deviation(estimate: float, reference: float) -> float:
 
 @dataclass
 class ConvergenceCurve:
-    """(n_g, D) samples of one statistic at fixed n_q, plus the floor."""
+    """(n_g, D) samples of one statistic at fixed n_q, plus the saturation
+    floor ``d_min`` (NaN below 4 points)."""
 
     n_q: int
     statistic: StatisticKind
     points: list  # list of (n_g, D)
     n_r: int
     master_seed: int
-    d_min: float = field(default=math.nan)
+    d_min: float = field(default=math.nan, init=False)
+
+    def __post_init__(self):
+        if len(self.points) >= 4:
+            self.d_min = saturation_floor(self.points)
 
     def gate_counts(self) -> list:
         return [p[0] for p in self.points]

@@ -9,8 +9,9 @@ independent of execution order.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -32,12 +33,10 @@ class GateAngles:
     phi: float
 
     def __post_init__(self):
-        for name in ("alpha", "psi", "chi"):
-            v = getattr(self, name)
-            if not 0.0 <= v < TWO_PI:
-                raise ValueError(f"{name} must be in [0, 2*pi), got {v}")
-        if not 0.0 <= self.phi <= math.pi / 2:
-            raise ValueError(f"phi must be in [0, pi/2], got {self.phi}")
+        if not (0.0 <= self.alpha < TWO_PI and 0.0 <= self.psi < TWO_PI
+                and 0.0 <= self.chi < TWO_PI and 0.0 <= self.phi <= math.pi / 2):
+            raise ValueError("alpha, psi, chi must be in [0, 2*pi) and phi in "
+                             f"[0, pi/2], got {self}")
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,7 @@ def realization_rng(master_seed: int, realization_index: int) -> np.random.Gener
 
 def sample_u2_angles(rng: np.random.Generator) -> GateAngles:
     """Draw the angles of a Haar-distributed U(2) matrix."""
-    alpha, psi, chi = rng.random(3) * TWO_PI
+    alpha, psi, chi = (rng.random(3) * TWO_PI).tolist()
     xi = rng.random()
     return GateAngles(alpha=alpha, psi=psi, chi=chi, phi=math.asin(math.sqrt(xi)))
 
@@ -142,11 +141,13 @@ def u2_matrix(angles: GateAngles) -> np.ndarray:
     """2x2 unitary e^{i alpha} [[c e^{i psi}, s e^{i chi}], [-s e^{-i chi}, c e^{-i psi}]]."""
     c = math.cos(angles.phi)
     s = math.sin(angles.phi)
-    phase = complex(math.cos(angles.alpha), math.sin(angles.alpha))
-    return phase * np.array(
+    phase = cmath.exp(1j * angles.alpha)
+    e_psi = cmath.exp(1j * angles.psi)
+    e_chi = cmath.exp(1j * angles.chi)
+    return np.array(
         [
-            [c * np.exp(1j * angles.psi), s * np.exp(1j * angles.chi)],
-            [-s * np.exp(-1j * angles.chi), c * np.exp(-1j * angles.psi)],
+            [phase * (c * e_psi), phase * (s * e_chi)],
+            [phase * (-s * e_chi.conjugate()), phase * (c * e_psi.conjugate())],
         ],
         dtype=complex,
     )

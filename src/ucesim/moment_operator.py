@@ -63,24 +63,11 @@ def exact_two_copy_average() -> np.ndarray:
     Second-order Weingarten weights for dimension 2: 1/3 for matching
     pairings, -1/6 for crossed ones.
     """
-    m = np.zeros((16, 16))
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    for e in range(2):
-                        for f in range(2):
-                            for g in range(2):
-                                for h in range(2):
-                                    rii = (a == c) and (b == d)
-                                    rix = (a == d) and (b == c)
-                                    cii = (e == g) and (f == h)
-                                    cix = (e == h) and (f == g)
-                                    val = (rii * cii + rix * cix) / 3.0 \
-                                        - (rii * cix + rix * cii) / 6.0
-                                    row = (a << 3) | (b << 2) | (c << 1) | d
-                                    col = (e << 3) | (f << 2) | (g << 1) | h
-                                    m[row, col] = val
+    eye = np.eye(2)
+    same = np.einsum("ac,bd->abcd", eye, eye).reshape(16)   # a == c and b == d
+    cross = np.einsum("ad,bc->abcd", eye, eye).reshape(16)  # a == d and b == c
+    m = (np.outer(same, same) + np.outer(cross, cross)) / 3.0 \
+        - (np.outer(same, cross) + np.outer(cross, same)) / 6.0
     return m.astype(complex)
 
 

@@ -10,55 +10,24 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass
 
 import numpy as np
 
-from .column_sim import _cnot_swap_indices, initial_column
+from .column_sim import apply_gate, initial_column
 from .ensemble_stats import (
     ConvergenceCurve,
     Histogram,
     StatisticKind,
+    correlator_sum,
     hellinger_distance,
     intensities,
     log_intensities,
+    moment_sum,
     relative_deviation,
-    saturation_floor,
 )
-from .gateset import EnsembleConfig, realization_rng
+from .gateset import EnsembleConfig, realization_rng, sample_gate
 
 CHUNK_SIZE = 64
-_TWO_PI = 2.0 * math.pi
-
-
-def _apply_random_gate(rng, state, n_q: int, p_g: float):
-    """Hot-loop gate step: same draw sequence as gateset.sample_gate, but
-    without building gate objects."""
-    if n_q > 1 and rng.random() >= p_g:
-        c = int(rng.integers(n_q))
-        t = int(rng.integers(n_q - 1))
-        if t >= c:
-            t += 1
-        src, dst = _cnot_swap_indices(n_q, c, t)
-        amps = state.amplitudes
-        amps[src], amps[dst] = amps[dst], amps[src]
-        return
-    q = int(rng.integers(n_q)) if n_q > 1 else 0
-    alpha, psi, chi = rng.random(3) * _TWO_PI
-    xi = rng.random()
-    cos_phi = math.sqrt(1.0 - xi)
-    sin_phi = math.sqrt(xi)
-    phase = complex(math.cos(alpha), math.sin(alpha))
-    m00 = phase * cos_phi * complex(math.cos(psi), math.sin(psi))
-    m01 = phase * sin_phi * complex(math.cos(chi), math.sin(chi))
-    m10 = phase * -sin_phi * complex(math.cos(chi), -math.sin(chi))
-    m11 = phase * cos_phi * complex(math.cos(psi), -math.sin(psi))
-    a = state.amplitudes.reshape(-1, 2, 1 << q)
-    a0 = a[:, 0, :]
-    a1 = a[:, 1, :]
-    new0 = m00 * a0 + m01 * a1
-    a[:, 1, :] = m10 * a0 + m11 * a1
-    a[:, 0, :] = new0
 
 
 class _Kahan:
@@ -105,17 +74,12 @@ class _Accumulator:
             self.hist_totals[ci] += y.size
         for s in self.scalar_stats:
             key = (ci, s.label)
-            if s.kind == "mu":
-                self.sums[key].add(float(np.sum(y ** s.k)))
-                self.counts[key] += y.size
-            elif s.kind == "c":
-                nb = y.size // s.k
-                blocks = y[: nb * s.k].reshape(nb, s.k)
-                self.sums[key].add(float(np.sum(np.prod(blocks, axis=1))))
-                self.counts[key] += nb
-            else:  # mufix
-                self.sums[key].add(float(y[s.row] ** s.k))
-                self.counts[key] += 1
+            if s.kind == "c":
+                total, count = correlator_sum(y, s.k)
+            else:
+                total, count = moment_sum(y, s.k, s.row if s.kind == "mufix" else None)
+            self.sums[key].add(total)
+            self.counts[key] += count
 
     def merge(self, other: "_Accumulator"):
         if self.want_pl:
@@ -132,16 +96,17 @@ def _run_chunk(args) -> _Accumulator:
     config, labels, start, stop = args
     stats = tuple(StatisticKind.parse(lb) for lb in labels)
     cps = list(config.checkpoints)
-    accum = _Accumulator(config.n_q, len(cps), stats)
+    n_q, p_g = config.n_q, config.p_g
+    accum = _Accumulator(n_q, len(cps), stats)
     for r in range(start, stop):
         rng = realization_rng(config.master_seed, r)
-        state = initial_column(config.n_q)
+        state = initial_column(n_q)
         ci = 0
         if cps[ci] == 0:
             accum.add_state(ci, state)
             ci += 1
         for g in range(1, config.max_gates + 1):
-            _apply_random_gate(rng, state, config.n_q, config.p_g)
+            apply_gate(state, sample_gate(rng, n_q, p_g))
             if ci < len(cps) and g == cps[ci]:
                 accum.add_state(ci, state)
                 ci += 1
@@ -197,11 +162,8 @@ def run_ensemble(config: EnsembleConfig, statistics, workers: int = 1) -> dict:
                 estimate = total.sums[key].value / total.counts[key]
                 d = relative_deviation(estimate, s.reference(n))
             points.append((ng, d))
-        curve = ConvergenceCurve(n_q=config.n_q, statistic=s, points=points,
-                                 n_r=n_r, master_seed=config.master_seed)
-        if len(points) >= 4:
-            curve.d_min = saturation_floor(points)
-        curves[s.label] = curve
+        curves[s.label] = ConvergenceCurve(n_q=config.n_q, statistic=s, points=points,
+                                           n_r=n_r, master_seed=config.master_seed)
     return curves
 
 

@@ -9,17 +9,22 @@ import numpy as np
 import pytest
 
 from ucesim import cli
-from ucesim.column_sim import StateColumn, dense_unitary_oracle, initial_column, simulate_first_column
+from ucesim.column_sim import (
+    StateColumn,
+    apply_gate,
+    dense_unitary_oracle,
+    initial_column,
+    simulate_first_column,
+)
 from ucesim.cue_ref import cue_correlator, cue_moment, sample_haar_first_column
 from ucesim.ensemble_stats import (
     Histogram,
-    accumulate,
     correlator_estimate,
     log_intensities,
     moment_estimate,
 )
-from ucesim.gateset import EnsembleConfig, realization_rng, sample_circuit
-from ucesim.runner import _apply_random_gate, convergence_curve, geometric_checkpoints
+from ucesim.gateset import EnsembleConfig, realization_rng, sample_circuit, sample_gate
+from ucesim.runner import convergence_curve, geometric_checkpoints
 from ucesim.scaling import NStarPoint, fit_model, n_star
 
 MASTER_SEED = 20260823
@@ -47,7 +52,7 @@ def test_criterion_2_norm_conservation():
         rng = realization_rng(MASTER_SEED + 1, r)
         state = initial_column(10)
         for _ in range(1000):
-            _apply_random_gate(rng, state, 10, 0.5)
+            apply_gate(state, sample_gate(rng, 10, 0.5))
         worst = max(worst, abs(state.norm_sq() - 1.0))
     assert worst < 1e-10
     _ok(2, f"norm conserved over 10^3 gates x 100 realizations, worst {worst:.2e}")
@@ -85,7 +90,7 @@ def test_criterion_4_haar_oracle_statistics():
         if n == 16:
             hist = Histogram(16)
             for state in states:
-                accumulate(hist, log_intensities(state))
+                hist.add(log_intensities(state))
             p = hist.cue_masses()
             expected = hist.total * p
             sigma = np.sqrt(hist.total * p * (1 - p))

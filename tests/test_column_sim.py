@@ -8,10 +8,18 @@ from ucesim.column_sim import (
     apply_gate,
     apply_single_qubit,
     dense_unitary_oracle,
+    gate_matrix_full,
     initial_column,
     simulate_first_column,
 )
-from ucesim.gateset import GateAngles, realization_rng, sample_circuit, sample_gate, u2_matrix
+from ucesim.gateset import (
+    CnotGate,
+    GateAngles,
+    realization_rng,
+    sample_circuit,
+    sample_gate,
+    u2_matrix,
+)
 
 
 def test_apply_single_qubit_derived_example():
@@ -78,6 +86,22 @@ def test_apply_cnot_touches_exact_pair_count():
     moved = np.nonzero(state.amplitudes != before)[0]
     assert moved.size == 1 << (n_q - 1)  # 2^(n_q-2) swapped pairs
     assert np.array_equal(np.sort(state.amplitudes), np.sort(before))
+
+
+def test_apply_cnot_matches_dense_operator_every_pair():
+    # Covers both view orientations: control above and below the target.
+    rng = np.random.default_rng(4)
+    for n_q in range(2, 6):
+        for c in range(n_q):
+            for t in range(n_q):
+                if c == t:
+                    continue
+                state = initial_column(n_q)
+                state.amplitudes[:] = (rng.standard_normal(1 << n_q)
+                                       + 1j * rng.standard_normal(1 << n_q))
+                expected = gate_matrix_full(CnotGate(c, t), n_q) @ state.amplitudes
+                apply_cnot(state, c, t)
+                assert np.array_equal(state.amplitudes, expected), (n_q, c, t)
 
 
 def test_apply_cnot_rejects_equal_qubits():

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ucesim.column_sim import StateColumn, initial_column
+from ucesim.column_sim import StateColumn, initial_column, simulate_first_column
 from ucesim.cue_ref import cue_correlator, cue_moment, sample_haar_first_column
 from ucesim.ensemble_stats import (
     Histogram,
+    ConvergenceCurve,
     StatisticKind,
-    accumulate,
     correlator_estimate,
     hellinger_distance,
     log_intensities,
@@ -16,7 +16,7 @@ from ucesim.ensemble_stats import (
     relative_deviation,
     saturation_floor,
 )
-from ucesim.gateset import EnsembleConfig
+from ucesim.gateset import EnsembleConfig, sample_circuit
 from ucesim.runner import convergence_curve, run_ensemble
 
 
@@ -68,13 +68,34 @@ def test_log_intensities_bounded_by_ln_n():
 
 def test_histogram_accumulate_basics():
     hist = Histogram(16)
-    accumulate(hist, [])
+    hist.add([])
     assert hist.total == 0
-    accumulate(hist, [math.log(16) - 1e-6])
+    hist.add([math.log(16) - 1e-6])
     assert hist.counts[-1] == 1
-    accumulate(hist, [-math.inf, hist.l_min - 5.0])
+    hist.add([-math.inf, hist.l_min - 5.0])
     assert hist.counts[0] == 2
     assert hist.total == 3
+
+
+def test_histogram_bin_counts_edge_cases_match_np_histogram():
+    for n, l_min, bins in ((2, None, 200), (16, None, 200), (16, -3.0, 7), (1024, None, 50)):
+        hist = Histogram(n, l_min=l_min, bin_count=bins)
+        e = hist.edges
+        values = np.concatenate([
+            [-math.inf, hist.l_min - 5.0, hist.ln_n + 1e-10],
+            e, np.nextafter(e, -math.inf), np.nextafter(e, math.inf),
+            np.random.default_rng(n).uniform(hist.l_min - 1.0, hist.ln_n, 1000),
+        ])
+        # Reference: underflow below l_min, then np.histogram on [l_min, ln N]
+        # with values just above ln N (within tolerance) clipped into the last bin.
+        v = np.minimum(values, hist.ln_n)
+        under = v < hist.l_min
+        expected = np.concatenate([[np.count_nonzero(under)],
+                                   np.histogram(v[~under], bins=e)[0]])
+        got = hist.bin_counts(values)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected), n
+    assert np.array_equal(Histogram(4).bin_counts([]), np.zeros(201, dtype=np.int64))
 
 
 def test_histogram_rejects_values_above_ln_n():
@@ -91,7 +112,7 @@ def test_histogram_matches_cue_reference_bin_by_bin():
     n_q, count = 4, 12_500  # 2*10^5 column elements at N = 16
     hist = Histogram(16)
     for state in haar_states(n_q, count, 1):
-        accumulate(hist, log_intensities(state))
+        hist.add(log_intensities(state))
     expected = hist.total * hist.cue_masses()
     sigma = np.sqrt(hist.total * hist.cue_masses() * (1 - hist.cue_masses()))
     dev = np.abs(hist.counts - expected)
@@ -117,7 +138,7 @@ def test_hellinger_disjoint_supports_near_two():
 def test_hellinger_bounds_on_real_histograms():
     hist = Histogram(16)
     for state in haar_states(4, 200, 2):
-        accumulate(hist, log_intensities(state))
+        hist.add(log_intensities(state))
     assert 0.0 <= hellinger_distance(hist) <= 2.0
 
 
@@ -247,3 +268,32 @@ def test_run_ensemble_validates_statistics():
         run_ensemble(cfg, ["mu2x7"])  # row 7 out of range for N = 4
     with pytest.raises(ValueError):
         run_ensemble(cfg, ["c8"])  # block longer than the column
+
+
+def test_run_ensemble_equals_reference_path():
+    # One realization: the runner's curves must equal, bit for bit, the ones
+    # built from the oracle-checked sample_circuit -> simulate_first_column
+    # path through the public estimators.
+    stats = ["pl", "mu2", "c2", "mu2x1"]
+    for n_q in (1, 3, 6):
+        cps = (0, 1, 2, 5, 12, 30)
+        cfg = EnsembleConfig(n_q=n_q, checkpoints=cps, master_seed=11, n_r=1, sizing=None)
+        curves = run_ensemble(cfg, stats)
+        n = 1 << n_q
+        snaps = simulate_first_column(sample_circuit(11, 0, n_q, cps[-1]), cps)
+        for label in stats:
+            stat = StatisticKind.parse(label)
+            if stat.kind == "pl":
+                d = [hellinger_distance(Histogram(n).add(log_intensities(s))) for s in snaps]
+            elif stat.kind == "c":
+                d = [relative_deviation(correlator_estimate([s], stat.k), stat.reference(n))
+                     for s in snaps]
+            else:
+                row = stat.row if stat.kind == "mufix" else None
+                d = [relative_deviation(moment_estimate([s], stat.k, row), stat.reference(n))
+                     for s in snaps]
+            points = list(zip(cps, d))
+            expected = ConvergenceCurve(n_q=n_q, statistic=stat, points=points,
+                                        n_r=1, master_seed=11)
+            assert curves[label] == expected, (n_q, label)
+            assert curves[label].d_min == saturation_floor(points)

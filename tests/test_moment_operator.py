@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -35,6 +36,18 @@ def test_exact_average_agrees_with_monte_carlo():
     m_mc, sigma = mc_two_copy_average(50_000, np.random.default_rng(1))
     # sigma is the largest per-entry standard error of the mean
     assert np.max(np.abs(m_mc - exact_two_copy_average())) < 6 * sigma
+
+
+def test_exact_average_equals_weingarten_loop():
+    # Entry-by-entry Weingarten weights, row (a, b, c, d) and column (e, f, g, h):
+    # 1/3 for matching pairings of both sides, -1/6 for mixed ones.
+    ref = np.zeros((16, 16))
+    for row, (a, b, c, d) in enumerate(itertools.product(range(2), repeat=4)):
+        for col, (e, f, g, h) in enumerate(itertools.product(range(2), repeat=4)):
+            rii, rix = (a == c) and (b == d), (a == d) and (b == c)
+            cii, cix = (e == g) and (f == h), (e == h) and (f == g)
+            ref[row, col] = (rii * cii + rix * cix) / 3.0 - (rii * cix + rix * cii) / 6.0
+    assert np.array_equal(exact_two_copy_average(), ref.astype(complex))
 
 
 def test_exact_gap_and_multiplicity():
