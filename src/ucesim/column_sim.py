@@ -11,6 +11,7 @@ independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -88,27 +89,35 @@ def apply_gate(state: StateColumn, gate: Gate) -> StateColumn:
     return apply_cnot(state, gate.control, gate.target)
 
 
-def simulate_first_column(circuit: Circuit, checkpoints) -> list[StateColumn]:
-    """Propagate |0...0> through the circuit, snapshotting at each checkpoint.
+def iter_checkpoints(n_q: int, gates, checkpoints):
+    """Propagate |0...0> through ``gates``, yielding the column at each checkpoint.
 
-    Checkpoints are gate counts; a single pass through the gate list serves
-    all of them (prefix reuse).
+    Checkpoints are gate counts; a single pass through the gates serves all
+    of them (prefix reuse), and no gate is drawn after the last one. The
+    column is yielded live, not copied: it changes in place as the caller
+    resumes the generator.
     """
     cps = list(checkpoints)
-    if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be strictly increasing")
+    if any(b <= a for a, b in zip([-1, *cps], cps)):
+        raise ValueError("checkpoints must be strictly increasing and >= 0")
+    state = initial_column(n_q)
+    gates = iter(gates)
+    done = 0
+    for cp in cps:
+        for gate in islice(gates, cp - done):
+            apply_gate(state, gate)
+            done += 1
+        if done < cp:
+            raise ValueError(f"gate stream ended before checkpoint {cp}")
+        yield state
+
+
+def simulate_first_column(circuit: Circuit, checkpoints) -> list[StateColumn]:
+    """Snapshots of the first column at each checkpoint (gate count)."""
+    cps = list(checkpoints)
     if cps and cps[-1] > circuit.n_g:
         raise ValueError(f"checkpoint {cps[-1]} exceeds n_g={circuit.n_g}")
-    state = initial_column(circuit.n_q)
-    snapshots = []
-    want = set(cps)
-    if 0 in want:
-        snapshots.append(state.copy())
-    for i, gate in enumerate(circuit.gates, start=1):
-        apply_gate(state, gate)
-        if i in want:
-            snapshots.append(state.copy())
-    return snapshots
+    return [s.copy() for s in iter_checkpoints(circuit.n_q, circuit.gates, cps)]
 
 
 def gate_matrix_full(gate: Gate, n_q: int) -> np.ndarray:

@@ -73,6 +73,14 @@ class StatisticKind:
             return cue_correlator(self.k, N)
         return cue_moment(self.k, N)
 
+    def state_sum(self, y: np.ndarray) -> tuple[float, int]:
+        """(sum, count) of this scalar statistic over one column's intensities y."""
+        if self.kind == "pl":
+            raise ValueError("'pl' has no per-state sum; use the histogram")
+        if self.kind == "c":
+            return correlator_sum(y, self.k)
+        return moment_sum(y, self.k, self.row if self.kind == "mufix" else None)
+
 
 class Histogram:
     """Uniform-bin histogram of log-intensities on [l_min, ln N] with an
@@ -135,9 +143,8 @@ class Histogram:
 
 def log_intensities(state: StateColumn) -> np.ndarray:
     """l_i = ln(N |a_i|^2); exact zeros map to -inf."""
-    n = state.amplitudes.size
     with np.errstate(divide="ignore"):
-        return np.log(n * np.abs(state.amplitudes) ** 2)
+        return np.log(intensities(state))
 
 
 def hellinger_distance(hist: Histogram) -> float:
@@ -174,13 +181,18 @@ def correlator_sum(y: np.ndarray, k: int) -> tuple[float, int]:
     return float(y[: nb * k].reshape(nb, k).prod(axis=1).sum()), nb
 
 
+def fsum_pairs(pairs) -> tuple[float, int]:
+    """(correctly rounded total, summed count) of (sum, count) pairs.
+
+    The total is the exact sum rounded once, so it does not depend on the
+    order of the pairs.
+    """
+    pairs = list(pairs)
+    return math.fsum(t for t, _ in pairs), sum(n for _, n in pairs)
+
+
 def _mean_over_states(states, state_sum, *args) -> float:
-    total = 0.0
-    count = 0
-    for state in states:
-        s, n = state_sum(intensities(state), *args)
-        total += s
-        count += n
+    total, count = fsum_pairs(state_sum(intensities(s), *args) for s in states)
     if count == 0:
         raise ValueError("empty state stream")
     return total / count

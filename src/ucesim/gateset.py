@@ -102,8 +102,10 @@ class EnsembleConfig:
         if not 0.0 <= self.p_g <= 1.0:
             raise ValueError("p_g must be in [0, 1]")
         cps = tuple(self.checkpoints)
-        if any(b <= a for a, b in zip(cps, cps[1:])):
-            raise ValueError("checkpoints must be strictly increasing")
+        if not cps:
+            raise ValueError("need at least one checkpoint")
+        if any(b <= a for a, b in zip((-1, *cps), cps)):
+            raise ValueError("checkpoints must be strictly increasing and >= 0")
         if self.n_r is None and self.sizing is None:
             raise ValueError("need n_r or a sizing rule (a, b)")
         if self.n_r is not None and self.n_r < 1:

@@ -1,9 +1,13 @@
 """Deterministic (worker-count independent) ensemble convergence runs.
 
 Realizations are partitioned into fixed-size chunks regardless of the worker
-count. Each chunk is reduced sequentially in realization order, and chunk
-partials are merged sequentially in chunk order, so the floating-point
-grouping — and therefore every output bit — is identical for 1 or 8 workers.
+count. A chunk folds the columns that ``iter_checkpoints`` yields into one
+``Histogram`` per checkpoint for pl and, per checkpoint and scalar
+statistic, the ``math.fsum`` of the per-state sums. ``run_ensemble`` adds
+the chunks' integer bin counts and takes one more ``fsum`` over the chunk
+partials. Integer counts and correctly rounded sums do not depend on the
+order in which chunks arrive, so every output bit is the same for 1 or 8
+workers; the fixed chunk size is the only grouping.
 """
 
 from __future__ import annotations
@@ -13,16 +17,14 @@ import multiprocessing
 
 import numpy as np
 
-from .column_sim import apply_gate, initial_column
+from .column_sim import iter_checkpoints
 from .ensemble_stats import (
     ConvergenceCurve,
     Histogram,
     StatisticKind,
-    correlator_sum,
+    fsum_pairs,
     hellinger_distance,
     intensities,
-    log_intensities,
-    moment_sum,
     relative_deviation,
 )
 from .gateset import EnsembleConfig, realization_rng, sample_gate
@@ -30,87 +32,53 @@ from .gateset import EnsembleConfig, realization_rng, sample_gate
 CHUNK_SIZE = 64
 
 
-class _Kahan:
-    """Compensated accumulator; deterministic for a fixed addition order."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float):
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
-
-    @property
-    def value(self) -> float:
-        return self.s
+def _fold_state(stats, state, fold: dict):
+    """Add one column to a checkpoint's {label: accumulator}."""
+    y = intensities(state)
+    for s in stats:
+        if s.kind == "pl":
+            fold[s.label].add(np.log(y))
+        else:
+            fold[s.label].append(s.state_sum(y))
 
 
-class _Accumulator:
-    """Per-chunk partial sums for every requested statistic and checkpoint."""
-
-    def __init__(self, n_q: int, n_checkpoints: int, stats):
-        self.n_q = n_q
-        self.stats = stats
-        self.want_pl = any(s.kind == "pl" for s in stats)
-        self.scalar_stats = [s for s in stats if s.kind != "pl"]
-        self._template = Histogram(1 << n_q) if self.want_pl else None
-        n_bins = self._template.bin_count + 1 if self.want_pl else 0
-        self.hist_counts = [np.zeros(n_bins, dtype=np.int64)
-                            for _ in range(n_checkpoints)] if self.want_pl else None
-        self.hist_totals = [0] * n_checkpoints
-        self.sums = {(ci, s.label): _Kahan()
-                     for ci in range(n_checkpoints) for s in self.scalar_stats}
-        self.counts = {key: 0 for key in self.sums}
-
-    def add_state(self, ci: int, state):
-        y = intensities(state)
-        if self.want_pl:
-            self.hist_counts[ci] += self._template.bin_counts(log_intensities(state))
-            self.hist_totals[ci] += y.size
-        for s in self.scalar_stats:
-            key = (ci, s.label)
-            if s.kind == "c":
-                total, count = correlator_sum(y, s.k)
-            else:
-                total, count = moment_sum(y, s.k, s.row if s.kind == "mufix" else None)
-            self.sums[key].add(total)
-            self.counts[key] += count
-
-    def merge(self, other: "_Accumulator"):
-        if self.want_pl:
-            for ci in range(len(self.hist_totals)):
-                self.hist_counts[ci] += other.hist_counts[ci]
-                self.hist_totals[ci] += other.hist_totals[ci]
-        for key, kah in self.sums.items():
-            kah.add(other.sums[key].s)
-            kah.add(-other.sums[key].c)
-            self.counts[key] += other.counts[key]
-
-
-def _run_chunk(args) -> _Accumulator:
+def _run_chunk(args) -> list:
+    """Fold realizations [start, stop) into one {label: accumulator} per
+    checkpoint: a Histogram for pl, a list holding the one fsum-reduced
+    (sum, count) pair for each scalar statistic."""
     config, labels, start, stop = args
-    stats = tuple(StatisticKind.parse(lb) for lb in labels)
-    cps = list(config.checkpoints)
-    n_q, p_g = config.n_q, config.p_g
-    accum = _Accumulator(n_q, len(cps), stats)
-    for r in range(start, stop):
-        rng = realization_rng(config.master_seed, r)
-        state = initial_column(n_q)
-        ci = 0
-        if cps[ci] == 0:
-            accum.add_state(ci, state)
-            ci += 1
-        for g in range(1, config.max_gates + 1):
-            apply_gate(state, sample_gate(rng, n_q, p_g))
-            if ci < len(cps) and g == cps[ci]:
-                accum.add_state(ci, state)
-                ci += 1
-    return accum
+    stats = [StatisticKind.parse(lb) for lb in labels]
+    n_q, cps = config.n_q, config.checkpoints
+    folds = [{s.label: Histogram(1 << n_q) if s.kind == "pl" else [] for s in stats}
+             for _ in cps]
+    with np.errstate(divide="ignore"):
+        for r in range(start, stop):
+            rng = realization_rng(config.master_seed, r)
+            gates = (sample_gate(rng, n_q, config.p_g) for _ in range(config.max_gates))
+            for state, fold in zip(iter_checkpoints(n_q, gates, cps), folds):
+                _fold_state(stats, state, fold)
+    for fold in folds:
+        for s in stats:
+            if s.kind != "pl":
+                fold[s.label] = [fsum_pairs(fold[s.label])]
+    return folds
+
+
+def _merge(stats, partials) -> list:
+    """Merge chunk folds in chunk order: bin counts add, (sum, count) pairs
+    are collected for one final fsum."""
+    merged = None
+    for folds in partials:
+        if merged is None:
+            merged = folds
+            continue
+        for fold, part in zip(merged, folds):
+            for s in stats:
+                if s.kind == "pl":
+                    fold[s.label].merge_counts(part[s.label].counts, part[s.label].total)
+                else:
+                    fold[s.label] += part[s.label]
+    return merged
 
 
 def run_ensemble(config: EnsembleConfig, statistics, workers: int = 1) -> dict:
@@ -119,8 +87,8 @@ def run_ensemble(config: EnsembleConfig, statistics, workers: int = 1) -> dict:
     ``statistics`` is an iterable of StatisticKind or label strings; all
     statistics share the same simulated realizations.
     """
-    stats = [s if isinstance(s, StatisticKind) else StatisticKind.parse(s)
-             for s in statistics]
+    stats = list(dict.fromkeys(s if isinstance(s, StatisticKind) else StatisticKind.parse(s)
+                               for s in statistics))
     if not stats:
         raise ValueError("no statistics requested")
     n = 1 << config.n_q
@@ -135,32 +103,20 @@ def run_ensemble(config: EnsembleConfig, statistics, workers: int = 1) -> dict:
                   for start in range(0, n_r, CHUNK_SIZE)]
 
     if workers <= 1 or len(chunk_args) == 1:
-        partials = map(_run_chunk, chunk_args)
+        folds = _merge(stats, map(_run_chunk, chunk_args))
     else:
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(workers) as pool:
-            partials = pool.map(_run_chunk, chunk_args, chunksize=1)
+        with multiprocessing.get_context().Pool(workers) as pool:
+            folds = _merge(stats, pool.imap(_run_chunk, chunk_args))
 
-    total = None
-    for part in partials:
-        if total is None:
-            total = part
-        else:
-            total.merge(part)
-
-    cps = list(config.checkpoints)
     curves = {}
     for s in stats:
         points = []
-        for ci, ng in enumerate(cps):
+        for ng, fold in zip(config.checkpoints, folds):
             if s.kind == "pl":
-                hist = Histogram(n)
-                hist.merge_counts(total.hist_counts[ci], total.hist_totals[ci])
-                d = hellinger_distance(hist)
+                d = hellinger_distance(fold[s.label])
             else:
-                key = (ci, s.label)
-                estimate = total.sums[key].value / total.counts[key]
-                d = relative_deviation(estimate, s.reference(n))
+                total, count = fsum_pairs(fold[s.label])
+                d = relative_deviation(total / count, s.reference(n))
             points.append((ng, d))
         curves[s.label] = ConvergenceCurve(n_q=config.n_q, statistic=s, points=points,
                                            n_r=n_r, master_seed=config.master_seed)

@@ -102,20 +102,3 @@ def fit_model(points, model: str) -> FitResult:
     return FitResult(model=model, a=float(coef[0]), b=float(coef[1]),
                      chi2=float(np.sum(resid ** 2)), ln_eps=ln_eps)
 
-
-def coefficient_table(nstar_sets) -> list[FitResult]:
-    """Fit all three models to each ln_eps group of n* points.
-
-    ``nstar_sets`` maps ln_eps -> list of NStarPoint. Groups with fewer
-    than 3 points are skipped.
-    """
-    if len(nstar_sets) < 2:
-        raise ValueError("need n* data at >= 2 distinct ln_eps values")
-    rows = []
-    for ln_eps in sorted(nstar_sets):
-        pts = nstar_sets[ln_eps]
-        if len(pts) < 3:
-            continue
-        for model in MODELS:
-            rows.append(fit_model(pts, model))
-    return rows

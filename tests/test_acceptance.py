@@ -153,7 +153,7 @@ def test_criterion_8_desk_scale_scaling_study():
     for nq in range(2, 11):
         cfg = EnsembleConfig(n_q=nq, checkpoints=geometric_checkpoints(nq),
                              master_seed=MASTER_SEED + 4, sizing=(10, 16))
-        curve = convergence_curve(cfg, "mu2")
+        curve = convergence_curve(cfg, "mu2", workers=2)
         ns = n_star(curve, eps, guard_factor=2.0)
         assert ns is not None, f"n* unreachable at n_q={nq}"
         points.append(NStarPoint(n_q=nq, ln_eps=ln_eps, n_star=ns))

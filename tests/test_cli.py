@@ -60,6 +60,27 @@ def test_converge_rejects_memory_cap_violation(tmp_path):
     assert code == 1
 
 
+def test_converge_bad_input_is_a_clear_error(tmp_path, capsys):
+    out = ["--out", str(tmp_path)]
+    for argv, code, message in (
+        (["--nq", "3", "--checkpoints=-2,4", "--nr", "2", "--statistics", "mu2"], 2,
+         "checkpoints must be strictly increasing and >= 0"),
+        (["--nq", "3", "--checkpoints=-2,4", "--nr", "2", "--statistics", "pl"], 2,
+         "checkpoints must be strictly increasing and >= 0"),
+        (["--nq=-1", "--nr", "2"], 1, "n_q=-1 must be >= 1"),
+        (["--nq", "0", "--nr", "2"], 1, "n_q=0 must be >= 1"),
+        (["--nq", "3", "--sizing", "10"], 1, "sizing must be two integers"),
+        (["--nq", "3", "--sizing", "10,x"], 1, "expected a comma list of integers"),
+    ):
+        assert run(["converge", *argv, *out]) == code, argv
+        assert message in capsys.readouterr().err, argv
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_q": [3], "sizing": [10, 2.5]}))
+    assert run(["converge", "--config", str(cfg), *out]) == 1
+    assert "sizing must be two integers" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "manifest.json")
+
+
 def test_converge_bad_config_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

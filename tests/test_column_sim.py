@@ -10,6 +10,7 @@ from ucesim.column_sim import (
     dense_unitary_oracle,
     gate_matrix_full,
     initial_column,
+    iter_checkpoints,
     simulate_first_column,
 )
 from ucesim.gateset import (
@@ -129,6 +130,36 @@ def test_simulate_cnot_only_circuit_stays_at_e0():
 def test_simulate_checkpoint_beyond_n_g():
     with pytest.raises(ValueError):
         simulate_first_column(sample_circuit(0, 0, 2, 5), [10])
+
+
+def test_iter_checkpoints_yields_the_live_column():
+    circuit = sample_circuit(5, 1, 3, 20)
+    cps = [0, 1, 4, 9, 20]
+    seen = []
+    for state, snap in zip(iter_checkpoints(3, circuit.gates, cps),
+                           simulate_first_column(circuit, cps), strict=True):
+        assert np.array_equal(state.amplitudes, snap.amplitudes)
+        seen.append(state)
+    assert all(s is seen[0] for s in seen)
+    (first,) = iter_checkpoints(3, circuit.gates, [0])
+    assert np.array_equal(first.amplitudes, initial_column(3).amplitudes)
+
+
+def test_iter_checkpoints_draws_no_gate_past_the_last_checkpoint():
+    gates = sample_circuit(5, 1, 3, 10).gates
+    stream = iter(gates)
+    assert list(iter_checkpoints(3, stream, [])) == []
+    assert next(stream) is gates[0]
+    stream = iter(gates)
+    assert len(list(iter_checkpoints(3, stream, [2, 5]))) == 2
+    assert next(stream) is gates[5]
+
+
+def test_iter_checkpoints_rejects_bad_checkpoints():
+    gates = sample_circuit(5, 1, 3, 10).gates
+    for cps in ([3, 3], [4, 2], [-1, 2], [11]):
+        with pytest.raises(ValueError):
+            list(iter_checkpoints(3, gates, cps))
 
 
 def test_simulate_matches_dense_oracle():

@@ -271,29 +271,36 @@ def test_run_ensemble_validates_statistics():
 
 
 def test_run_ensemble_equals_reference_path():
-    # One realization: the runner's curves must equal, bit for bit, the ones
-    # built from the oracle-checked sample_circuit -> simulate_first_column
-    # path through the public estimators.
+    # One realization and one full chunk: the runner's curves must equal, bit
+    # for bit, the ones built from the oracle-checked sample_circuit ->
+    # simulate_first_column path through the public estimators.
     stats = ["pl", "mu2", "c2", "mu2x1"]
-    for n_q in (1, 3, 6):
-        cps = (0, 1, 2, 5, 12, 30)
-        cfg = EnsembleConfig(n_q=n_q, checkpoints=cps, master_seed=11, n_r=1, sizing=None)
+    cps = (0, 1, 2, 5, 12, 30)
+    for n_q, n_r in ((1, 1), (3, 1), (6, 1), (3, 64)):
+        cfg = EnsembleConfig(n_q=n_q, checkpoints=cps, master_seed=11, n_r=n_r, sizing=None)
         curves = run_ensemble(cfg, stats)
         n = 1 << n_q
-        snaps = simulate_first_column(sample_circuit(11, 0, n_q, cps[-1]), cps)
+        runs = [simulate_first_column(sample_circuit(11, r, n_q, cps[-1]), cps)
+                for r in range(n_r)]
+        by_checkpoint = list(zip(*runs))
         for label in stats:
             stat = StatisticKind.parse(label)
-            if stat.kind == "pl":
-                d = [hellinger_distance(Histogram(n).add(log_intensities(s))) for s in snaps]
-            elif stat.kind == "c":
-                d = [relative_deviation(correlator_estimate([s], stat.k), stat.reference(n))
-                     for s in snaps]
-            else:
-                row = stat.row if stat.kind == "mufix" else None
-                d = [relative_deviation(moment_estimate([s], stat.k, row), stat.reference(n))
-                     for s in snaps]
+            d = []
+            for states in by_checkpoint:
+                if stat.kind == "pl":
+                    hist = Histogram(n)
+                    for s in states:
+                        hist.add(log_intensities(s))
+                    d.append(hellinger_distance(hist))
+                elif stat.kind == "c":
+                    d.append(relative_deviation(correlator_estimate(states, stat.k),
+                                                stat.reference(n)))
+                else:
+                    row = stat.row if stat.kind == "mufix" else None
+                    d.append(relative_deviation(moment_estimate(states, stat.k, row),
+                                                stat.reference(n)))
             points = list(zip(cps, d))
             expected = ConvergenceCurve(n_q=n_q, statistic=stat, points=points,
-                                        n_r=1, master_seed=11)
-            assert curves[label] == expected, (n_q, label)
+                                        n_r=n_r, master_seed=11)
+            assert curves[label] == expected, (n_q, n_r, label)
             assert curves[label].d_min == saturation_floor(points)

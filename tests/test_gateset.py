@@ -5,6 +5,7 @@ import pytest
 
 from ucesim.gateset import (
     CnotGate,
+    EnsembleConfig,
     GateAngles,
     SingleQubitGate,
     circuit_from_text,
@@ -143,3 +144,10 @@ def test_circuit_serialization_roundtrip():
     assert back.master_seed == circuit.master_seed
     assert back.realization_index == circuit.realization_index
     assert back.gates == circuit.gates  # 17 digits round-trip doubles exactly
+
+
+def test_ensemble_config_rejects_bad_checkpoints():
+    for cps in ((), (-2, 4), (-1,), (3, 3), (5, 2)):
+        with pytest.raises(ValueError):
+            EnsembleConfig(n_q=3, checkpoints=cps, master_seed=0, n_r=2, sizing=None)
+    assert EnsembleConfig(n_q=3, checkpoints=(0, 4), master_seed=0).max_gates == 4

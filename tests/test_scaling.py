@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ucesim.ensemble_stats import ConvergenceCurve, StatisticKind
-from ucesim.scaling import FitResult, NStarPoint, coefficient_table, fit_model, n_star
+from ucesim.scaling import MODELS, FitResult, NStarPoint, fit_model, n_star
 
 
 def make_curve(points, d_min=math.nan):
@@ -108,21 +108,16 @@ def test_fit_validation():
         fit_model(mixed[:2], "f1")
 
 
-def test_coefficient_table_shape_and_f2_stability():
-    sets = {}
+def test_fits_per_eps_group_shape_and_f2_stability():
+    rows = []
     for ln_eps in (-1.0, -2.0, -3.0):
         eps = math.exp(ln_eps)
-        sets[ln_eps] = [NStarPoint(n_q=nq, ln_eps=ln_eps,
-                                   n_star=max(1, int(round(4 * nq * math.log(nq / eps)))))
-                        for nq in range(2, 12)]
-    rows = coefficient_table(sets)
+        pts = [NStarPoint(n_q=nq, ln_eps=ln_eps,
+                          n_star=max(1, int(round(4 * nq * math.log(nq / eps)))))
+               for nq in range(2, 12)]
+        rows += [fit_model(pts, model) for model in MODELS]
     assert len(rows) == 9  # 3 models x 3 eps values
     a2 = [r.a for r in rows if r.model == "f2"]
     assert max(a2) - min(a2) < 0.05  # a2 stable across eps on f2 data
     a1 = [r.a for r in sorted(rows, key=lambda r: -r.ln_eps) if r.model == "f1"]
     assert a1[0] < a1[1] < a1[2]  # f1 slope absorbs ln(1/eps)
-
-
-def test_coefficient_table_needs_two_eps():
-    with pytest.raises(ValueError):
-        coefficient_table({-1.0: []})
