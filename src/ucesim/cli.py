@@ -24,7 +24,7 @@ from collections import defaultdict
 import numpy as np
 
 from . import __version__
-from .column_sim import MAX_N_Q, StateColumn, dense_unitary_oracle, simulate_first_column
+from .column_sim import MAX_N_Q, StateColumn, dense_unitary_oracle, walk_block, walk_columns
 from .cue_ref import cue_correlator, cue_moment, sample_haar_first_column
 from .ensemble_stats import (
     ConvergenceCurve,
@@ -33,7 +33,7 @@ from .ensemble_stats import (
     intensities,
     moment_estimate,
 )
-from .gateset import EnsembleConfig, circuit_to_text, sample_circuit
+from .gateset import STREAM_VERSION, EnsembleConfig, GateTape, circuit_to_text, sample_circuit
 from .runner import geometric_checkpoints, run_ensemble
 from .scaling import MODELS, NStarPoint, fit_model, n_star
 
@@ -68,9 +68,41 @@ def _load_config_file(path: str) -> dict:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: expected a JSON object")
     if "config" in data and isinstance(data["config"], dict):
-        data = data["config"]  # accept an emitted manifest as config
+        # An emitted manifest: rerun it only on the draw layout it was made with.
+        version = data.get("stream_version")
+        if version != STREAM_VERSION:
+            found = "no stream_version" if version is None else f"stream_version {version!r}"
+            raise UsageError(f"{path}: manifest has {found}, but this ucesim draws "
+                             f"stream_version {STREAM_VERSION}; its curves would not "
+                             "be reproduced")
+        data = data["config"]
     return data
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(_is_int(x) for x in v)
+
+
+# What each config value must be, checked after flags and file are merged.
+_CONFIG_TYPES = {
+    "n_q": (_is_int_list, "a list of integers"),
+    "statistics": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+                   "a list of statistic labels"),
+    "checkpoints": (lambda v: v is None or _is_int_list(v), "null or a list of integers"),
+    "n_r": (lambda v: v is None or _is_int(v), "null or an integer"),
+    "sizing": (lambda v: v is None or (_is_int_list(v) and len(v) == 2),
+               "two integers a,b"),
+    "master_seed": (_is_int, "an integer"),
+    "p_g": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "max_n_q": (_is_int, "an integer"),
+}
 
 
 def _effective_config(args) -> dict:
@@ -102,17 +134,19 @@ def _effective_config(args) -> dict:
         cfg["master_seed"] = args.seed
     if args.pg is not None:
         cfg["p_g"] = args.pg
+    for key, (ok, what) in _CONFIG_TYPES.items():
+        if not ok(cfg[key]):
+            raise UsageError(f"{key} must be {what}, got {cfg[key]!r}")
     for nq in cfg["n_q"]:
         if nq < 1:
             raise UsageError(f"n_q={nq} must be >= 1")
         if nq > cfg["max_n_q"]:
             raise UsageError(f"n_q={nq} exceeds memory cap {cfg['max_n_q']}")
-    sizing = cfg["sizing"]
-    if sizing is not None and (len(sizing) != 2
-                               or not all(isinstance(v, int) for v in sizing)):
-        raise UsageError(f"sizing must be two integers a,b, got {sizing!r}")
     for label in cfg["statistics"]:
-        StatisticKind.parse(label)
+        try:
+            StatisticKind.parse(label)
+        except ValueError as exc:
+            raise UsageError(f"statistic {label!r}: {exc}") from None
     return cfg
 
 
@@ -144,6 +178,7 @@ def cmd_converge(args) -> int:
         "package_version": __version__,
         "numpy_version": np.__version__,
         "python_version": ".".join(str(v) for v in sys.version_info[:3]),
+        "stream_version": STREAM_VERSION,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -247,17 +282,20 @@ def cmd_oracle_check(args) -> int:
         raise UsageError("nq-max must be in 2..8")
     failures = 0
 
-    # Bitwise kernels against the dense full-matrix oracle.
+    # Both walks (block step and per-column view kernels) against the
+    # dense full-matrix oracle.
     for trial in range(args.trials):
         nq = 2 + trial % (args.nq_max - 1)
         circuit = sample_circuit(args.seed, trial, nq, 30)
-        column = simulate_first_column(circuit, [30])[0].amplitudes
+        tape = GateTape.from_gates(nq, circuit.gates)
         oracle = dense_unitary_oracle(circuit)[:, 0]
-        err = float(np.max(np.abs(column - oracle)))
-        ok = err < 1e-12
-        failures += not ok
-        print(f"oracle nq={nq} trial={trial} err={err:.3e} "
-              f"{'ok' if ok else 'FAIL'}")
+        for name, walk in (("block", walk_block), ("column", walk_columns)):
+            ((_, column),) = walk(tape, [30])
+            err = float(np.max(np.abs(column[0] - oracle)))
+            ok = err < 1e-12
+            failures += not ok
+            print(f"oracle {name} nq={nq} trial={trial} err={err:.3e} "
+                  f"{'ok' if ok else 'FAIL'}")
 
     # Estimators against Haar-sampled first columns.
     rng = np.random.default_rng(args.seed)

@@ -4,6 +4,10 @@ Only the first column of the circuit unitary is tracked: a complex vector of
 length N = 2**n_q starting at the basis state |0...0>. Index convention is
 little-endian: qubit q occupies bit q of the row index.
 
+Realizations are read from a ``GateTape``. Small columns advance a whole
+block of realizations per gate with one uniform step (``block_step``);
+large ones go one column at a time through the in-place view kernels.
+
 A dense full-matrix oracle is provided for small qubit counts as an
 independent cross-check.
 """
@@ -15,10 +19,19 @@ from itertools import islice
 
 import numpy as np
 
-from .gateset import Circuit, Gate, SingleQubitGate, u2_matrix
+from .gateset import Circuit, Gate, GateTape, SingleQubitGate, u2_matrix
 
 # Memory guard: 2**24 complex amplitudes = 256 MiB.
 MAX_N_Q = 24
+# Up to this qubit count a chunk of realizations advances as one (R, N)
+# block; above it the per-column view kernels are faster (measured
+# crossover, see ROADMAP).
+BLOCK_MAX_N_Q = 9
+# Most amplitudes (rows x N) that walk_block steps at once: 2**14 complex
+# values are 256 KiB per work array, which stays within a 2 MiB L2 cache.
+BLOCK_GROUP = 1 << 14
+# block_step coefficients (d0, d1, o0, o1) of a CNOT.
+_CNOT_COEF = np.array([1, 0, 0, 1], dtype=complex)
 
 
 @dataclass
@@ -33,12 +46,16 @@ class StateColumn:
         return StateColumn(self.n_q, self.amplitudes.copy())
 
 
-def initial_column(n_q: int) -> StateColumn:
-    """Column of the identity on |0...0>: amplitude 1 at index 0."""
+def _check_n_q(n_q: int):
     if n_q < 1:
         raise ValueError("n_q must be >= 1")
     if n_q > MAX_N_Q:
         raise ValueError(f"n_q={n_q} exceeds memory cap {MAX_N_Q}")
+
+
+def initial_column(n_q: int) -> StateColumn:
+    """Column of the identity on |0...0>: amplitude 1 at index 0."""
+    _check_n_q(n_q)
     amps = np.zeros(1 << n_q, dtype=complex)
     amps[0] = 1.0
     return StateColumn(n_q=n_q, amplitudes=amps)
@@ -83,41 +100,106 @@ def apply_cnot(state: StateColumn, c: int, t: int) -> StateColumn:
     return state
 
 
-def apply_gate(state: StateColumn, gate: Gate) -> StateColumn:
-    if isinstance(gate, SingleQubitGate):
-        return apply_single_qubit(state, gate.qubit, u2_matrix(gate.angles))
-    return apply_cnot(state, gate.control, gate.target)
+def block_step(amps: np.ndarray, upper: np.ndarray, partner: np.ndarray,
+               coef: np.ndarray) -> np.ndarray:
+    """Apply one gate to every row of an (R, N) block of columns, in place.
 
-
-def iter_checkpoints(n_q: int, gates, checkpoints):
-    """Propagate |0...0> through ``gates``, yielding the column at each checkpoint.
-
-    Checkpoints are gate counts; a single pass through the gates serves all
-    of them (prefix reuse), and no gate is drawn after the last one. The
-    column is yielded live, not copied: it changes in place as the caller
-    resumes the generator.
+    a_i <- d a_i + o a_j with j = ``partner`` (flat index into ``amps``) and
+    (d, o) = (d1, o1) where ``upper`` is set, else (d0, o0); ``coef`` holds
+    (d0, d1, o0, o1), each of shape (R, 1). A U(2) m on qubit q selects on
+    bit q, pairs i with i ^ (1 << q) and takes (m00, m11, m01, m10); a
+    CNOT(c, t) selects on bit c, pairs i with i ^ (1 << t) and takes
+    (1, 0, 0, 1). Each new amplitude is the same two products, summed, as
+    in ``apply_single_qubit``/``apply_cnot``, so the columns agree bit for bit.
     """
+    d0, d1, o0, o1 = coef
+    d = np.where(upper, d1, d0)
+    o = np.where(upper, o1, o0)
+    np.multiply(d, amps, out=d)
+    np.multiply(o, amps.take(partner), out=o)
+    return np.add(d, o, out=amps)
+
+
+def walk_block(tape: GateTape, checkpoints):
+    """Advance all R realizations of ``tape`` together, one ``block_step``
+    per gate, yielding (checkpoint index, live (R, N) block).
+
+    Between checkpoints the rows go in groups of at most ``BLOCK_GROUP``
+    amplitudes, so that a step's arrays stay in cache.
+    """
+    n_q, rows = tape.n_q, tape.is_u2.shape[0]
+    index = np.arange(1 << n_q)
+    bit = np.arange(n_q)[:, None]
+    upper = ((index >> bit) & 1).astype(bool)  # upper[s, i]: bit s of i
+    flipped = index ^ (1 << bit)               # flipped[t, i] = i ^ (1 << t)
+    # (d0, d1, o0, o1) = (m00, m11, m01, m10) of each gate, shaped (n_g, 4, R, 1)
+    coef = tape.matrices().reshape(rows, tape.n_g, 4)[..., [0, 3, 1, 2]]
+    coef[~tape.is_u2] = _CNOT_COEF
+    coef = coef.transpose(1, 2, 0)[..., None]
+    sel, part = tape.qubit.T, tape.target.T
+    amps = np.zeros((rows, 1 << n_q), dtype=complex)
+    amps[:, 0] = 1.0
+    group = max(1, BLOCK_GROUP >> n_q)
+    offsets = np.arange(min(group, rows))[:, None] << n_q
+    done = 0
+    for k, cp in enumerate(checkpoints):
+        for lo in range(0, rows, group):
+            rs = slice(lo, lo + group)
+            block = amps[rs]
+            for g in range(done, cp):
+                block_step(block, upper[sel[g, rs]],
+                           flipped[part[g, rs]] + offsets[:len(block)], coef[g, :, rs])
+        done = cp
+        yield k, amps
+
+
+def walk_columns(tape: GateTape, checkpoints):
+    """Advance the realizations of ``tape`` one after another through the
+    in-place view kernels, yielding (checkpoint index, live (1, N) view of
+    the one column held)."""
+    m = tape.matrices()
+    for r in range(tape.is_u2.shape[0]):
+        rows = zip(tape.is_u2[r].tolist(), tape.qubit[r].tolist(),
+                   tape.target[r].tolist(), m[r])
+        state = initial_column(tape.n_q)
+        done = 0
+        for k, cp in enumerate(checkpoints):
+            for u2, q, t, mg in islice(rows, cp - done):
+                if u2:
+                    apply_single_qubit(state, q, mg)
+                else:
+                    apply_cnot(state, q, t)
+            done = cp
+            yield k, state.amplitudes[None]
+
+
+def iter_checkpoints(tape: GateTape, checkpoints):
+    """Propagate |0...0> through each realization of ``tape``, yielding
+    (checkpoint index, block) with block the (r, N) columns of some of the
+    realizations at that checkpoint (a gate count).
+
+    Up to ``BLOCK_MAX_N_Q`` qubits all R realizations advance together and
+    each checkpoint is yielded once (``walk_block``); above it one column at
+    a time is held and each checkpoint is yielded once per realization
+    (``walk_columns``). A single pass through the gates serves all
+    checkpoints (prefix reuse), and gates past the last one are not applied.
+    Blocks are live, not copied: they change as the caller resumes.
+    """
+    _check_n_q(tape.n_q)
     cps = list(checkpoints)
     if any(b <= a for a, b in zip([-1, *cps], cps)):
         raise ValueError("checkpoints must be strictly increasing and >= 0")
-    state = initial_column(n_q)
-    gates = iter(gates)
-    done = 0
-    for cp in cps:
-        for gate in islice(gates, cp - done):
-            apply_gate(state, gate)
-            done += 1
-        if done < cp:
-            raise ValueError(f"gate stream ended before checkpoint {cp}")
-        yield state
+    if cps and cps[-1] > tape.n_g:
+        raise ValueError(f"checkpoint {cps[-1]} exceeds n_g={tape.n_g}")
+    walk = walk_block if tape.n_q <= BLOCK_MAX_N_Q else walk_columns
+    return walk(tape, cps)
 
 
 def simulate_first_column(circuit: Circuit, checkpoints) -> list[StateColumn]:
     """Snapshots of the first column at each checkpoint (gate count)."""
-    cps = list(checkpoints)
-    if cps and cps[-1] > circuit.n_g:
-        raise ValueError(f"checkpoint {cps[-1]} exceeds n_g={circuit.n_g}")
-    return [s.copy() for s in iter_checkpoints(circuit.n_q, circuit.gates, cps)]
+    tape = GateTape.from_gates(circuit.n_q, circuit.gates)
+    return [StateColumn(circuit.n_q, block[0].copy())
+            for _, block in iter_checkpoints(tape, checkpoints)]
 
 
 def gate_matrix_full(gate: Gate, n_q: int) -> np.ndarray:

@@ -73,8 +73,9 @@ class StatisticKind:
             return cue_correlator(self.k, N)
         return cue_moment(self.k, N)
 
-    def state_sum(self, y: np.ndarray) -> tuple[float, int]:
-        """(sum, count) of this scalar statistic over one column's intensities y."""
+    def state_sum(self, y: np.ndarray) -> tuple:
+        """(sum, count) of this scalar statistic over one column's intensities
+        y, or (per-row sums, count per row) for an (R, N) block."""
         if self.kind == "pl":
             raise ValueError("'pl' has no per-state sum; use the histogram")
         if self.kind == "c":
@@ -108,8 +109,9 @@ class Histogram:
         self.total = 0
 
     def bin_counts(self, values) -> np.ndarray:
-        """Counts vector (underflow + bins) for a batch; does not mutate."""
-        v = np.asarray(values, dtype=float)
+        """Counts vector (underflow + bins) for a batch of any shape; does
+        not mutate."""
+        v = np.asarray(values, dtype=float).ravel()
         if (v > self.ln_n + _EDGE_TOL).any():
             raise ValueError("log-intensity above ln N: normalization bug")
         # Index k counts the edges <= v: 0 is underflow, k in 1..bin_count
@@ -154,31 +156,35 @@ def hellinger_distance(hist: Histogram) -> float:
     return float(2.0 * (1.0 - np.sum(np.sqrt(p_emp * p_ref))))
 
 
-def intensities(state: StateColumn) -> np.ndarray:
-    """y_i = N |a_i|^2."""
-    return state.amplitudes.size * np.abs(state.amplitudes) ** 2
+def intensities(state) -> np.ndarray:
+    """y_i = N |a_i|^2 of a StateColumn, or of each row of an (R, N) block."""
+    a = state.amplitudes if isinstance(state, StateColumn) else state
+    return a.shape[-1] * np.abs(a) ** 2
 
 
-def moment_sum(y: np.ndarray, k: int, row: int | None = None) -> tuple[float, int]:
-    """(sum of y^k, element count) over one column's intensities y.
+def moment_sum(y: np.ndarray, k: int, row: int | None = None) -> tuple:
+    """(sum of y^k, element count) over one column's intensities y; for an
+    (R, N) block, the R row sums and the count per row.
 
     With ``row`` given, only that element is probed (no column average).
     """
     if row is None:
-        return float((y ** k).sum()), y.size
-    return float(y[row] ** k), 1
+        return (y ** k).sum(axis=-1), y.shape[-1]
+    return y[..., row] ** k, 1
 
 
-def correlator_sum(y: np.ndarray, k: int) -> tuple[float, int]:
-    """(sum of block products, block count) over one column's intensities y.
+def correlator_sum(y: np.ndarray, k: int) -> tuple:
+    """(sum of block products, block count) over one column's intensities
+    y; for an (R, N) block, the R row sums and the count per row.
 
     The column is split into floor(N/k) blocks of k consecutive elements;
     leftovers are unused so no element enters two products.
     """
-    if k > y.size:
-        raise ValueError(f"k={k} exceeds column length N={y.size}")
-    nb = y.size // k
-    return float(y[: nb * k].reshape(nb, k).prod(axis=1).sum()), nb
+    n = y.shape[-1]
+    if k > n:
+        raise ValueError(f"k={k} exceeds column length N={n}")
+    nb = n // k
+    return y[..., : nb * k].reshape(*y.shape[:-1], nb, k).prod(axis=-1).sum(axis=-1), nb
 
 
 def fsum_pairs(pairs) -> tuple[float, int]:

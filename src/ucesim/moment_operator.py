@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .gateset import TWO_PI, u2_matrices
 
 # 4x4 CNOTs on a qubit pair |hi, lo> (index = 2*hi + lo).
 CNOT_HI_CTRL = np.array(
@@ -44,17 +44,11 @@ class GapResult:
 
 
 def haar_u2_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n Haar-distributed 2x2 unitaries, shape (n, 2, 2)."""
+    """n Haar-distributed 2x2 unitaries, shape (n, 2, 2), built by the gate
+    set's U(2) formula."""
     alpha, psi, chi = rng.random((3, n)) * TWO_PI
     phi = np.arcsin(np.sqrt(rng.random(n)))
-    c, s = np.cos(phi), np.sin(phi)
-    u = np.empty((n, 2, 2), dtype=complex)
-    u[:, 0, 0] = c * np.exp(1j * psi)
-    u[:, 0, 1] = s * np.exp(1j * chi)
-    u[:, 1, 0] = -s * np.exp(-1j * chi)
-    u[:, 1, 1] = c * np.exp(-1j * psi)
-    u *= np.exp(1j * alpha)[:, None, None]
-    return u
+    return u2_matrices(alpha, psi, chi, phi)
 
 
 def exact_two_copy_average() -> np.ndarray:

@@ -1,9 +1,10 @@
 """Deterministic (worker-count independent) ensemble convergence runs.
 
 Realizations are partitioned into fixed-size chunks regardless of the worker
-count. A chunk folds the columns that ``iter_checkpoints`` yields into one
-``Histogram`` per checkpoint for pl and, per checkpoint and scalar
-statistic, the ``math.fsum`` of the per-state sums. ``run_ensemble`` adds
+count. A chunk draws one gate tape row per realization and folds the blocks
+of columns that ``iter_checkpoints`` yields into one ``Histogram`` per
+checkpoint for pl and, per checkpoint and scalar statistic, the
+``math.fsum`` of the per-state sums. ``run_ensemble`` adds
 the chunks' integer bin counts and takes one more ``fsum`` over the chunk
 partials. Integer counts and correctly rounded sums do not depend on the
 order in which chunks arrive, so every output bit is the same for 1 or 8
@@ -27,19 +28,20 @@ from .ensemble_stats import (
     intensities,
     relative_deviation,
 )
-from .gateset import EnsembleConfig, realization_rng, sample_gate
+from .gateset import EnsembleConfig, draw_tape, realization_rng
 
 CHUNK_SIZE = 64
 
 
-def _fold_state(stats, state, fold: dict):
-    """Add one column to a checkpoint's {label: accumulator}."""
-    y = intensities(state)
+def _fold_block(stats, block, fold: dict):
+    """Add an (r, N) block of columns to a checkpoint's {label: accumulator}."""
+    y = intensities(block)
     for s in stats:
         if s.kind == "pl":
             fold[s.label].add(np.log(y))
         else:
-            fold[s.label].append(s.state_sum(y))
+            sums, count = s.state_sum(y)
+            fold[s.label].extend((t, count) for t in sums.tolist())
 
 
 def _run_chunk(args) -> list:
@@ -48,15 +50,13 @@ def _run_chunk(args) -> list:
     (sum, count) pair for each scalar statistic."""
     config, labels, start, stop = args
     stats = [StatisticKind.parse(lb) for lb in labels]
-    n_q, cps = config.n_q, config.checkpoints
-    folds = [{s.label: Histogram(1 << n_q) if s.kind == "pl" else [] for s in stats}
-             for _ in cps]
+    folds = [{s.label: Histogram(1 << config.n_q) if s.kind == "pl" else [] for s in stats}
+             for _ in config.checkpoints]
+    rngs = (realization_rng(config.master_seed, r) for r in range(start, stop))
+    tape = draw_tape(rngs, config.n_q, config.max_gates, config.p_g)
     with np.errstate(divide="ignore"):
-        for r in range(start, stop):
-            rng = realization_rng(config.master_seed, r)
-            gates = (sample_gate(rng, n_q, config.p_g) for _ in range(config.max_gates))
-            for state, fold in zip(iter_checkpoints(n_q, gates, cps), folds):
-                _fold_state(stats, state, fold)
+        for k, block in iter_checkpoints(tape, config.checkpoints):
+            _fold_block(stats, block, folds[k])
     for fold in folds:
         for s in stats:
             if s.kind != "pl":

@@ -11,9 +11,8 @@ import pytest
 from ucesim import cli
 from ucesim.column_sim import (
     StateColumn,
-    apply_gate,
     dense_unitary_oracle,
-    initial_column,
+    iter_checkpoints,
     simulate_first_column,
 )
 from ucesim.cue_ref import cue_correlator, cue_moment, sample_haar_first_column
@@ -23,7 +22,7 @@ from ucesim.ensemble_stats import (
     log_intensities,
     moment_estimate,
 )
-from ucesim.gateset import EnsembleConfig, realization_rng, sample_circuit, sample_gate
+from ucesim.gateset import EnsembleConfig, draw_tape, realization_rng, sample_circuit
 from ucesim.runner import convergence_curve, geometric_checkpoints
 from ucesim.scaling import NStarPoint, fit_model, n_star
 
@@ -47,13 +46,11 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_norm_conservation():
+    # The runner's own path: a tape of 100 realizations through iter_checkpoints.
+    tape = draw_tape([realization_rng(MASTER_SEED + 1, r) for r in range(100)], 10, 1000)
     worst = 0.0
-    for r in range(100):
-        rng = realization_rng(MASTER_SEED + 1, r)
-        state = initial_column(10)
-        for _ in range(1000):
-            apply_gate(state, sample_gate(rng, 10, 0.5))
-        worst = max(worst, abs(state.norm_sq() - 1.0))
+    for _, block in iter_checkpoints(tape, [1000]):
+        worst = max(worst, float(np.max(np.abs(np.sum(np.abs(block) ** 2, axis=1) - 1.0))))
     assert worst < 1e-10
     _ok(2, f"norm conserved over 10^3 gates x 100 realizations, worst {worst:.2e}")
 

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from ucesim import cli
+from ucesim.gateset import STREAM_VERSION
 
 
 def read(path):
@@ -40,6 +41,46 @@ def test_manifest_roundtrips_as_config(tmp_path):
         read(os.path.join(out2, "curve_nq3_mu2.csv"))
     assert read(os.path.join(out1, "manifest.json")) == \
         read(os.path.join(out2, "manifest.json"))
+
+
+def test_manifest_with_another_stream_version_is_rejected(tmp_path, capsys):
+    out = str(tmp_path / "a")
+    assert run(["converge", "--nq", "2", "--statistics", "mu2", "--nr", "4",
+                "--checkpoints", "2,4", "--seed", "9", "--out", out]) == 0
+    manifest = json.loads(read(os.path.join(out, "manifest.json")))
+    assert manifest["stream_version"] == STREAM_VERSION
+    for version, found in ((None, "no stream_version"), (1, "stream_version 1")):
+        if version is None:
+            del manifest["stream_version"]
+        else:
+            manifest["stream_version"] = version
+        old = tmp_path / f"old{version}.json"
+        old.write_text(json.dumps(manifest))
+        assert run(["converge", "--config", str(old), "--out", str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert found in err and f"stream_version {STREAM_VERSION}" in err, err
+    assert not os.path.exists(tmp_path / "b")
+
+
+def test_converge_config_types_are_checked(tmp_path, capsys):
+    for cfg, message in (({"n_q": 3}, "n_q must be a list of integers"),
+                         ({"statistics": "mu2"}, "statistics must be a list of statistic labels"),
+                         ({"checkpoints": [4, "8"]}, "checkpoints must be null or a list"),
+                         ([3, 4], "expected a JSON object")):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["converge", "--config", str(path), "--out", str(tmp_path)]) == 1, cfg
+        assert message in capsys.readouterr().err, cfg
+    assert not os.path.exists(tmp_path / "manifest.json")
+
+
+def test_converge_bad_statistic_is_a_usage_error(tmp_path, capsys):
+    for label, message in (("mu9", "moment/correlator order k must be in 1..8"),
+                           ("foo", "cannot parse statistic 'foo'")):
+        assert run(["converge", "--nq", "3", "--nr", "2", "--statistics", label,
+                    "--out", str(tmp_path)]) == 1, label
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err, err
 
 
 def test_converge_deterministic_across_workers(tmp_path):

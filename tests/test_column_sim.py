@@ -4,18 +4,25 @@ import numpy as np
 import pytest
 
 from ucesim.column_sim import (
+    BLOCK_MAX_N_Q,
+    StateColumn,
     apply_cnot,
-    apply_gate,
     apply_single_qubit,
+    block_step,
     dense_unitary_oracle,
     gate_matrix_full,
     initial_column,
     iter_checkpoints,
     simulate_first_column,
+    walk_block,
+    walk_columns,
 )
 from ucesim.gateset import (
+    Circuit,
     CnotGate,
     GateAngles,
+    GateTape,
+    draw_tape,
     realization_rng,
     sample_circuit,
     sample_gate,
@@ -134,32 +141,77 @@ def test_simulate_checkpoint_beyond_n_g():
 
 def test_iter_checkpoints_yields_the_live_column():
     circuit = sample_circuit(5, 1, 3, 20)
+    tape = GateTape.from_gates(3, circuit.gates)
     cps = [0, 1, 4, 9, 20]
     seen = []
-    for state, snap in zip(iter_checkpoints(3, circuit.gates, cps),
-                           simulate_first_column(circuit, cps), strict=True):
-        assert np.array_equal(state.amplitudes, snap.amplitudes)
-        seen.append(state)
-    assert all(s is seen[0] for s in seen)
-    (first,) = iter_checkpoints(3, circuit.gates, [0])
-    assert np.array_equal(first.amplitudes, initial_column(3).amplitudes)
+    for (k, block), snap in zip(iter_checkpoints(tape, cps),
+                                simulate_first_column(circuit, cps), strict=True):
+        assert k == len(seen)
+        assert np.array_equal(block[0], snap.amplitudes)
+        seen.append(block)
+    assert all(b is seen[0] for b in seen)
+    ((_, first),) = iter_checkpoints(tape, [0])
+    assert np.array_equal(first[0], initial_column(3).amplitudes)
 
 
-def test_iter_checkpoints_draws_no_gate_past_the_last_checkpoint():
-    gates = sample_circuit(5, 1, 3, 10).gates
-    stream = iter(gates)
-    assert list(iter_checkpoints(3, stream, [])) == []
-    assert next(stream) is gates[0]
-    stream = iter(gates)
-    assert len(list(iter_checkpoints(3, stream, [2, 5]))) == 2
-    assert next(stream) is gates[5]
+def test_iter_checkpoints_applies_no_gate_past_the_last_checkpoint():
+    # Both walks: a tape longer than the last checkpoint gives the columns
+    # of the tape cut at it.
+    for n_q in (3, BLOCK_MAX_N_Q + 1):
+        long = draw_tape([realization_rng(5, r) for r in range(2)], n_q, 10)
+        short = draw_tape([realization_rng(5, r) for r in range(2)], n_q, 5)
+        assert list(iter_checkpoints(long, [])) == []
+        got = [(k, b.copy()) for k, b in iter_checkpoints(long, [2, 5])]
+        want = [(k, b.copy()) for k, b in iter_checkpoints(short, [2, 5])]
+        assert len(got) == len(want) == (2 if n_q <= BLOCK_MAX_N_Q else 4)
+        for (k1, b1), (k2, b2) in zip(got, want):
+            assert k1 == k2 and np.array_equal(b1, b2)
 
 
 def test_iter_checkpoints_rejects_bad_checkpoints():
-    gates = sample_circuit(5, 1, 3, 10).gates
+    tape = GateTape.from_gates(3, sample_circuit(5, 1, 3, 10).gates)
     for cps in ([3, 3], [4, 2], [-1, 2], [11]):
         with pytest.raises(ValueError):
-            list(iter_checkpoints(3, gates, cps))
+            list(iter_checkpoints(tape, cps))
+
+
+def test_block_step_equals_view_kernels_and_dense_oracle():
+    # The same tape through the uniform block step (driven gate by gate
+    # here, and through walk_block) and through the view kernels (gate by
+    # gate, and through walk_columns): identical columns, and each equal to
+    # the dense oracle's first column.
+    for n_q in range(1, 9):
+        n = 1 << n_q
+        index = np.arange(n)
+        for rows in (1, 64):
+            tape = draw_tape([realization_rng(n_q, r) for r in range(rows)], n_q, 40)
+            m = tape.matrices()
+            block = np.zeros((rows, n), dtype=complex)
+            block[:, 0] = 1.0
+            states = [initial_column(n_q) for _ in range(rows)]
+            for g in range(tape.n_g):
+                sel, part = tape.qubit[:, g, None], tape.target[:, g, None]
+                u2 = tape.is_u2[:, g]
+                coef = np.where(u2[:, None], m[:, g].reshape(rows, 4)[:, [0, 3, 1, 2]],
+                                [1, 0, 0, 1]).T[..., None]
+                partner = (index ^ (1 << part)) + n * np.arange(rows)[:, None]
+                block_step(block, ((index >> sel) & 1).astype(bool), partner, coef)
+                for r, state in enumerate(states):
+                    if u2[r]:
+                        apply_single_qubit(state, int(sel[r, 0]), m[r, g])
+                    else:
+                        apply_cnot(state, int(sel[r, 0]), int(part[r, 0]))
+            ((_, walked),) = walk_block(tape, [tape.n_g])
+            columns = [b[0].copy() for _, b in walk_columns(tape, [tape.n_g])]
+            for r, state in enumerate(states):
+                assert np.array_equal(block[r], state.amplitudes), (n_q, rows, r)
+                assert np.array_equal(walked[r], state.amplitudes), (n_q, rows, r)
+                assert np.array_equal(columns[r], state.amplitudes), (n_q, rows, r)
+                if r < 4:
+                    circuit = Circuit(n_q, tape.gates(r), master_seed=n_q,
+                                      realization_index=r)
+                    oracle = dense_unitary_oracle(circuit)[:, 0]
+                    assert np.max(np.abs(block[r] - oracle)) < 1e-12, (n_q, rows, r)
 
 
 def test_simulate_matches_dense_oracle():
@@ -196,8 +248,6 @@ def test_dense_oracle_guards_large_n_q():
 
 
 def test_norm_after_thousand_gates():
-    rng = realization_rng(77, 0)
-    state = initial_column(10)
-    for _ in range(1000):
-        apply_gate(state, sample_gate(rng, 10, 0.5))
-    assert abs(state.norm_sq() - 1.0) < 1e-10
+    tape = draw_tape([realization_rng(77, 0)], 10, 1000)
+    ((_, block),) = iter_checkpoints(tape, [1000])
+    assert abs(StateColumn(10, block[0]).norm_sq() - 1.0) < 1e-10

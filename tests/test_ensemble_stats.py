@@ -11,6 +11,7 @@ from ucesim.ensemble_stats import (
     StatisticKind,
     correlator_estimate,
     hellinger_distance,
+    intensities,
     log_intensities,
     moment_estimate,
     relative_deviation,
@@ -241,6 +242,31 @@ def test_convergence_curve_qualitative_decrease():
     d = curve.distances()
     assert all(b < a for a, b in zip(d, d[1:]))
     assert d[-1] <= d[0] / 10
+
+
+def test_histogram_add_accepts_a_block():
+    rng = np.random.default_rng(12)
+    cols = np.array([sample_haar_first_column(16, rng) for _ in range(9)])
+    cols[2, 3] = 0.0  # an exact zero lands in the underflow bin
+    with np.errstate(divide="ignore"):
+        block = np.log(intensities(cols))
+    one = Histogram(16).add(block)
+    rows = Histogram(16)
+    for r in range(9):
+        rows.add(log_intensities(StateColumn(4, cols[r])))
+    assert np.array_equal(one.counts, rows.counts)
+    assert one.total == rows.total == 9 * 16
+    assert one.counts[0] >= 1
+
+
+def test_state_sums_of_a_block_equal_per_column_sums():
+    rng = np.random.default_rng(13)
+    y = intensities(np.array([sample_haar_first_column(32, rng) for _ in range(7)]))
+    for label in ("mu1", "mu2", "mu5", "c2", "c3", "c8", "mu3x5"):
+        stat = StatisticKind.parse(label)
+        sums, count = stat.state_sum(y)
+        for r in range(7):
+            assert (sums[r], count) == stat.state_sum(y[r]), label
 
 
 def test_run_ensemble_worker_count_invariance():

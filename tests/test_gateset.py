@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from ucesim.gateset import (
+    TAPE_COLUMNS,
     CnotGate,
     EnsembleConfig,
     GateAngles,
+    GateTape,
     SingleQubitGate,
     circuit_from_text,
     circuit_to_text,
+    draw_tape,
     realization_rng,
     sample_circuit,
     sample_gate,
@@ -151,3 +154,53 @@ def test_ensemble_config_rejects_bad_checkpoints():
         with pytest.raises(ValueError):
             EnsembleConfig(n_q=3, checkpoints=cps, master_seed=0, n_r=2, sizing=None)
     assert EnsembleConfig(n_q=3, checkpoints=(0, 4), master_seed=0).max_gates == 4
+
+
+def test_sample_gate_is_one_tape_row():
+    for n_q, p_g in ((1, 0.5), (2, 0.0), (3, 0.5), (5, 1.0), (7, 0.3)):
+        rng, twin = np.random.default_rng(n_q), np.random.default_rng(n_q)
+        gates = [sample_gate(rng, n_q, p_g) for _ in range(50)]
+        assert tuple(gates) == draw_tape([twin], n_q, 50, p_g).gates()
+        assert rng.random() == twin.random()  # same uniforms consumed
+
+
+def test_draw_tape_prefix_property():
+    for n_q in (1, 2, 4, 9):
+        rngs = lambda: [realization_rng(3, r) for r in range(5)]  # noqa: E731
+        short, long = draw_tape(rngs(), n_q, 12), draw_tape(rngs(), n_q, 40)
+        for field in ("is_u2", "qubit", "target", "angles"):
+            assert np.array_equal(getattr(long, field)[:, :12], getattr(short, field))
+        for r in range(5):
+            assert long.gates(r)[:12] == short.gates(r)
+            assert short.gates(r) == sample_circuit(3, r, n_q, 12).gates
+
+
+def test_draw_tape_layout_and_ranges():
+    n_q, n_g = 6, 4000
+    tape = draw_tape([np.random.default_rng(8)], n_q, n_g)
+    u = np.random.default_rng(8).random((n_g, TAPE_COLUMNS))
+    assert np.array_equal(tape.is_u2[0], u[:, 0] < 0.5)
+    assert np.array_equal(tape.qubit[0], np.floor(u[:, 1] * n_q))
+    cnot = ~tape.is_u2[0]
+    assert np.all(tape.target[0][~cnot] == tape.qubit[0][~cnot])
+    assert np.all(tape.target[0][cnot] != tape.qubit[0][cnot])
+    assert 0 <= tape.target.min() and tape.target.max() < n_q
+    assert np.array_equal(tape.angles[0, :, 3], np.arcsin(np.sqrt(u[:, 6])))
+    # every ordered pair is reachable
+    pairs = set(zip(tape.qubit[0][cnot].tolist(), tape.target[0][cnot].tolist()))
+    assert len(pairs) == n_q * (n_q - 1)
+
+
+def test_tape_matrices_are_u2_matrix_and_roundtrip_gates():
+    tape = draw_tape([realization_rng(2, r) for r in range(3)], 4, 30)
+    m = tape.matrices()
+    for r in range(3):
+        gates = tape.gates(r)
+        back = GateTape.from_gates(4, gates)
+        assert back.gates() == gates
+        assert np.array_equal(back.matrices()[0], m[r])
+        for g, gate in enumerate(gates):
+            if isinstance(gate, SingleQubitGate):
+                assert np.array_equal(u2_matrix(gate.angles), m[r, g])
+            else:
+                assert not m[r, g].any()
