@@ -33,7 +33,7 @@ from .ensemble_stats import (
     intensities,
     moment_estimate,
 )
-from .gateset import STREAM_VERSION, EnsembleConfig, GateTape, circuit_to_text, sample_circuit
+from .gateset import STREAM_VERSION, EnsembleConfig, circuit_to_text, sample_circuit
 from .runner import geometric_checkpoints, run_ensemble
 from .scaling import MODELS, NStarPoint, fit_model, n_star
 
@@ -59,7 +59,10 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+    try:
+        return [float(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise UsageError(f"expected a comma list of numbers, got {text!r}") from None
 
 
 def _load_config_file(path: str) -> dict:
@@ -117,7 +120,11 @@ def _effective_config(args) -> dict:
         "max_n_q": MAX_N_Q,
     }
     if args.config:
-        cfg.update(_load_config_file(args.config))
+        data = _load_config_file(args.config)
+        unknown = sorted(set(data) - set(cfg))
+        if unknown:
+            raise UsageError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
+        cfg.update(data)
     if args.nq is not None:
         cfg["n_q"] = _parse_int_list(args.nq)
     if args.statistics is not None:
@@ -137,11 +144,12 @@ def _effective_config(args) -> dict:
     for key, (ok, what) in _CONFIG_TYPES.items():
         if not ok(cfg[key]):
             raise UsageError(f"{key} must be {what}, got {cfg[key]!r}")
+    cap = min(cfg["max_n_q"], MAX_N_Q)
     for nq in cfg["n_q"]:
         if nq < 1:
             raise UsageError(f"n_q={nq} must be >= 1")
-        if nq > cfg["max_n_q"]:
-            raise UsageError(f"n_q={nq} exceeds memory cap {cfg['max_n_q']}")
+        if nq > cap:
+            raise UsageError(f"n_q={nq} exceeds memory cap {cap}")
     for label in cfg["statistics"]:
         try:
             StatisticKind.parse(label)
@@ -215,6 +223,8 @@ def cmd_nstar_fit(args) -> int:
     ln_eps_list = _parse_float_list(args.ln_eps)
     if not ln_eps_list:
         raise UsageError("empty --ln-eps list")
+    if not args.guard > 1:
+        raise UsageError(f"--guard must exceed 1, got {args.guard}")
     out_dir = args.out or os.environ.get("UCESIM_OUT", ".")
     os.makedirs(out_dir, exist_ok=True)
     curves = read_curves(args.curves)
@@ -256,8 +266,11 @@ def cmd_nstar_fit(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    from .moment_operator import build_moment_operator, spectral_gap
+    from .moment_operator import MIN_MC_SAMPLES, build_moment_operator, spectral_gap
 
+    if not args.exact and args.samples < MIN_MC_SAMPLES:
+        raise UsageError(f"--samples must be >= {MIN_MC_SAMPLES} without --exact, "
+                         f"got {args.samples}")
     rng = np.random.default_rng(args.seed)
     g, sigma = build_moment_operator(args.samples, rng, exact=args.exact)
     res = spectral_gap(g, sigma=sigma, sample_count=0 if args.exact else args.samples)
@@ -287,10 +300,9 @@ def cmd_oracle_check(args) -> int:
     for trial in range(args.trials):
         nq = 2 + trial % (args.nq_max - 1)
         circuit = sample_circuit(args.seed, trial, nq, 30)
-        tape = GateTape.from_gates(nq, circuit.gates)
         oracle = dense_unitary_oracle(circuit)[:, 0]
         for name, walk in (("block", walk_block), ("column", walk_columns)):
-            ((_, column),) = walk(tape, [30])
+            ((_, column),) = walk(circuit.tape, [30])
             err = float(np.max(np.abs(column[0] - oracle)))
             ok = err < 1e-12
             failures += not ok
@@ -320,6 +332,10 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_dump_circuit(args) -> int:
+    if args.nq < 1:
+        raise UsageError(f"--nq must be >= 1, got {args.nq}")
+    if args.ng < 0:
+        raise UsageError(f"--ng must be >= 0, got {args.ng}")
     circuit = sample_circuit(args.seed, args.index, args.nq, args.ng)
     sys.stdout.write(circuit_to_text(circuit))
     return EXIT_OK

@@ -19,7 +19,7 @@ from itertools import islice
 
 import numpy as np
 
-from .gateset import Circuit, Gate, GateTape, SingleQubitGate, u2_matrix
+from .gateset import Circuit, GateTape
 
 # Memory guard: 2**24 complex amplitudes = 256 MiB.
 MAX_N_Q = 24
@@ -197,21 +197,20 @@ def iter_checkpoints(tape: GateTape, checkpoints):
 
 def simulate_first_column(circuit: Circuit, checkpoints) -> list[StateColumn]:
     """Snapshots of the first column at each checkpoint (gate count)."""
-    tape = GateTape.from_gates(circuit.n_q, circuit.gates)
     return [StateColumn(circuit.n_q, block[0].copy())
-            for _, block in iter_checkpoints(tape, checkpoints)]
+            for _, block in iter_checkpoints(circuit.tape, checkpoints)]
 
 
-def gate_matrix_full(gate: Gate, n_q: int) -> np.ndarray:
-    """Dense 2**n_q operator for one gate (oracle path only)."""
+def gate_matrix_full(n_q: int, is_u2: bool, qubit: int, target: int,
+                     m: np.ndarray | None = None) -> np.ndarray:
+    """Dense 2**n_q operator of one tape row: the U(2) ``m`` on ``qubit``,
+    or CNOT(qubit -> target) (oracle path only)."""
     n = 1 << n_q
-    if isinstance(gate, SingleQubitGate):
-        m = u2_matrix(gate.angles)
-        return np.kron(np.kron(np.eye(1 << (n_q - 1 - gate.qubit)), m),
-                       np.eye(1 << gate.qubit))
+    if is_u2:
+        return np.kron(np.kron(np.eye(1 << (n_q - 1 - qubit)), m), np.eye(1 << qubit))
     full = np.zeros((n, n), dtype=complex)
     for i in range(n):
-        j = i ^ (1 << gate.target) if (i >> gate.control) & 1 else i
+        j = i ^ (1 << target) if (i >> qubit) & 1 else i
         full[j, i] = 1.0
     return full
 
@@ -220,7 +219,9 @@ def dense_unitary_oracle(circuit: Circuit) -> np.ndarray:
     """Full circuit unitary by dense matrix multiplication; n_q <= 8 only."""
     if circuit.n_q > 8:
         raise ValueError("dense oracle limited to n_q <= 8")
+    t = circuit.tape
     u = np.eye(1 << circuit.n_q, dtype=complex)
-    for gate in circuit.gates:
-        u = gate_matrix_full(gate, circuit.n_q) @ u
+    for row in zip(t.is_u2[0].tolist(), t.qubit[0].tolist(), t.target[0].tolist(),
+                   t.matrices()[0]):
+        u = gate_matrix_full(circuit.n_q, *row) @ u
     return u

@@ -6,9 +6,11 @@ All randomness flows through numpy Generators derived deterministically from
 a 64-bit master seed and a realization index, so ensembles are reproducible
 independent of execution order.
 
-A realization's gates are drawn as one ``GateTape`` row (``draw_tape``);
-``sample_gate``, ``sample_circuit`` and the runner all read the same draws,
-and every U(2) matrix comes from the one vectorized formula ``u2_matrices``.
+A realization's gates are drawn as one ``GateTape`` row (``draw_tape``),
+and the tape is the one circuit format: ``sample_gate`` is a one-gate tape,
+a ``Circuit`` is a one-row tape plus its seed lineage, and the runner reads
+the same draws. Every U(2) matrix comes from the one vectorized formula
+``u2_matrices``.
 ``STREAM_VERSION`` names this draw layout in run manifests.
 """
 
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -26,70 +27,6 @@ TWO_PI = 2.0 * math.pi
 STREAM_VERSION = 2
 # Uniforms per tape row: kind, qubit/control, target, alpha, psi, chi, xi.
 TAPE_COLUMNS = 7
-
-
-@dataclass(frozen=True)
-class GateAngles:
-    """Angles of the four-parameter U(2) parametrization.
-
-    ``alpha``, ``psi``, ``chi`` lie in [0, 2*pi); ``phi`` in [0, pi/2],
-    with phi = arcsin(sqrt(xi)) for xi uniform in [0, 1].
-    """
-
-    alpha: float
-    psi: float
-    chi: float
-    phi: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha < TWO_PI and 0.0 <= self.psi < TWO_PI
-                and 0.0 <= self.chi < TWO_PI and 0.0 <= self.phi <= math.pi / 2):
-            raise ValueError("alpha, psi, chi must be in [0, 2*pi) and phi in "
-                             f"[0, pi/2], got {self}")
-
-
-@dataclass(frozen=True)
-class SingleQubitGate:
-    qubit: int
-    angles: GateAngles
-
-
-@dataclass(frozen=True)
-class CnotGate:
-    control: int
-    target: int
-
-    def __post_init__(self):
-        if self.control == self.target:
-            raise ValueError("CNOT control and target must differ")
-
-
-Gate = Union[SingleQubitGate, CnotGate]
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """An ordered gate list together with its seed lineage."""
-
-    n_q: int
-    gates: tuple
-    master_seed: int
-    realization_index: int
-
-    def __post_init__(self):
-        if self.n_q < 1:
-            raise ValueError("n_q must be >= 1")
-        for g in self.gates:
-            if isinstance(g, SingleQubitGate):
-                if not 0 <= g.qubit < self.n_q:
-                    raise ValueError(f"qubit index {g.qubit} out of range")
-            else:
-                if not (0 <= g.control < self.n_q and 0 <= g.target < self.n_q):
-                    raise ValueError("CNOT qubit index out of range")
-
-    @property
-    def n_g(self) -> int:
-        return len(self.gates)
 
 
 @dataclass(frozen=True)
@@ -156,19 +93,19 @@ def u2_matrices(alpha, psi, chi, phi) -> np.ndarray:
     return u
 
 
-def u2_matrix(angles: GateAngles) -> np.ndarray:
-    """The 2x2 unitary of one gate's angles, by the ``u2_matrices`` formula."""
-    return u2_matrices(angles.alpha, angles.psi, angles.chi, angles.phi)
+def u2_matrix(angles) -> np.ndarray:
+    """The 2x2 unitary of one gate's angles (alpha, psi, chi, phi)."""
+    return u2_matrices(*angles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateTape:
     """The gates of R realizations as (R, n_g) arrays, one row per realization.
 
     ``is_u2`` marks Haar U(2) gates (the rest are CNOTs). ``qubit`` is the
     U(2) qubit or the CNOT control; ``target`` is the CNOT target and equals
     ``qubit`` on U(2) rows. ``angles`` (R, n_g, 4) holds alpha, psi, chi,
-    phi; only U(2) rows use them.
+    phi on U(2) rows and zeros on CNOT rows.
     """
 
     n_q: int
@@ -187,26 +124,22 @@ class GateTape:
         m[self.is_u2] = u2_matrices(*self.angles[self.is_u2].T)
         return m
 
-    def gates(self, r: int = 0) -> tuple:
-        """Realization r as gate objects."""
-        rows = zip(self.is_u2[r].tolist(), self.qubit[r].tolist(),
-                   self.target[r].tolist(), self.angles[r].tolist())
-        return tuple(SingleQubitGate(q, GateAngles(*a)) if u2 else CnotGate(q, t)
-                     for u2, q, t, a in rows)
 
-    @classmethod
-    def from_gates(cls, n_q: int, gates) -> "GateTape":
-        """One-realization tape of a gate sequence."""
-        gates = list(gates)
-        is_u2 = [isinstance(g, SingleQubitGate) for g in gates]
-        qubit = [g.qubit if u2 else g.control for u2, g in zip(is_u2, gates)]
-        target = [g.qubit if u2 else g.target for u2, g in zip(is_u2, gates)]
-        angles = [(g.angles.alpha, g.angles.psi, g.angles.chi, g.angles.phi) if u2
-                  else (0.0, 0.0, 0.0, 0.0) for u2, g in zip(is_u2, gates)]
-        return cls(n_q=n_q, is_u2=np.array([is_u2], dtype=bool),
-                   qubit=np.array([qubit], dtype=np.intp),
-                   target=np.array([target], dtype=np.intp),
-                   angles=np.array(angles, dtype=float).reshape(1, len(gates), 4))
+@dataclass(frozen=True, eq=False)
+class Circuit:
+    """One realization: a one-row ``GateTape`` together with its seed lineage."""
+
+    tape: GateTape
+    master_seed: int
+    realization_index: int
+
+    @property
+    def n_q(self) -> int:
+        return self.tape.n_q
+
+    @property
+    def n_g(self) -> int:
+        return self.tape.n_g
 
 
 def draw_tape(rngs, n_q: int, n_g: int, p_g: float = 0.5) -> GateTape:
@@ -218,6 +151,8 @@ def draw_tape(rngs, n_q: int, n_g: int, p_g: float = 0.5) -> GateTape:
     qubits), alpha, psi, chi (times 2*pi) and xi, with phi = arcsin(sqrt(xi)).
     Drawing more gates extends the tape without changing its prefix.
     """
+    if n_q < 1:
+        raise ValueError("n_q must be >= 1")
     if n_g < 0:
         raise ValueError("n_g must be >= 0")
     u = np.stack([rng.random((n_g, TAPE_COLUMNS)) for rng in rngs])
@@ -228,62 +163,81 @@ def draw_tape(rngs, n_q: int, n_g: int, p_g: float = 0.5) -> GateTape:
     angles = np.empty(u.shape[:2] + (4,))
     angles[..., :3] = u[..., 3:6] * TWO_PI
     angles[..., 3] = np.arcsin(np.sqrt(u[..., 6]))
+    angles *= is_u2[..., None]
     return GateTape(n_q=n_q, is_u2=is_u2, qubit=qubit,
                     target=np.where(is_u2, qubit, target), angles=angles)
 
 
-def sample_gate(rng: np.random.Generator, n_q: int, p_g: float) -> Gate:
-    """Draw one gate, one tape row: U(2) with probability p_g, else CNOT on
-    an ordered pair. For n_q = 1 a single-qubit gate is forced."""
-    return draw_tape([rng], n_q, 1, p_g).gates()[0]
+def sample_gate(rng: np.random.Generator, n_q: int, p_g: float) -> GateTape:
+    """Draw one gate as a one-gate tape: U(2) with probability p_g, else CNOT
+    on an ordered pair. For n_q = 1 a single-qubit gate is forced."""
+    return draw_tape([rng], n_q, 1, p_g)
 
 
-def sample_u2_angles(rng: np.random.Generator) -> GateAngles:
-    """Draw the angles of a Haar-distributed U(2) matrix (one tape row)."""
-    return sample_gate(rng, 1, 1.0).angles
+def sample_u2_angles(rng: np.random.Generator) -> np.ndarray:
+    """Draw (alpha, psi, chi, phi) of a Haar-distributed U(2) matrix (one tape row)."""
+    return sample_gate(rng, 1, 1.0).angles[0, 0]
 
 
 def sample_circuit(master_seed: int, realization_index: int, n_q: int, n_g: int,
                    p_g: float = 0.5) -> Circuit:
     """Deterministic circuit draw; extending n_g preserves the gate prefix."""
     tape = draw_tape([realization_rng(master_seed, realization_index)], n_q, n_g, p_g)
-    return Circuit(n_q=n_q, gates=tape.gates(), master_seed=master_seed,
-                   realization_index=realization_index)
+    return Circuit(tape=tape, master_seed=master_seed, realization_index=realization_index)
 
 
 def circuit_to_text(circuit: Circuit) -> str:
     """Line-oriented serialization; floats carry 17 significant digits."""
+    t = circuit.tape
     lines = [f"nq={circuit.n_q} seed={circuit.master_seed} idx={circuit.realization_index}"]
-    for g in circuit.gates:
-        if isinstance(g, SingleQubitGate):
-            a = g.angles
-            lines.append(
-                "U2 q=%d alpha=%.17g psi=%.17g chi=%.17g phi=%.17g"
-                % (g.qubit, a.alpha, a.psi, a.chi, a.phi)
-            )
-        else:
-            lines.append(f"CNOT c={g.control} t={g.target}")
+    for u2, q, target, a in zip(t.is_u2[0].tolist(), t.qubit[0].tolist(),
+                                t.target[0].tolist(), t.angles[0].tolist()):
+        lines.append("U2 q=%d alpha=%.17g psi=%.17g chi=%.17g phi=%.17g" % (q, *a)
+                     if u2 else f"CNOT c={q} t={target}")
     return "\n".join(lines) + "\n"
 
 
+def _parse_gate_line(line: str, n_q: int) -> tuple:
+    """(is_u2, qubit, target, angles) of one gate line, checked."""
+    kind, *fields = line.split()
+    kv = dict(f.split("=", 1) for f in fields)
+    if kind == "U2":
+        q = t = int(kv["q"])
+        angles = tuple(float(kv[k]) for k in ("alpha", "psi", "chi", "phi"))
+        alpha, psi, chi, phi = angles
+        if not (0.0 <= alpha < TWO_PI and 0.0 <= psi < TWO_PI
+                and 0.0 <= chi < TWO_PI and 0.0 <= phi <= math.pi / 2):
+            raise ValueError("alpha, psi, chi must be in [0, 2*pi) and phi in "
+                             f"[0, pi/2]: {line!r}")
+    elif kind == "CNOT":
+        q, t = int(kv["c"]), int(kv["t"])
+        angles = (0.0, 0.0, 0.0, 0.0)
+        if q == t:
+            raise ValueError(f"CNOT control and target must differ: {line!r}")
+    else:
+        raise ValueError(f"unknown gate line: {line!r}")
+    if not (0 <= q < n_q and 0 <= t < n_q):
+        raise ValueError(f"qubit index out of range for nq={n_q}: {line!r}")
+    return kind == "U2", q, t, angles
+
+
 def circuit_from_text(text: str) -> Circuit:
-    """Inverse of circuit_to_text."""
+    """Inverse of circuit_to_text; raises ValueError on malformed text."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty circuit text")
-    header = dict(kv.split("=") for kv in lines[0].split())
-    n_q = int(header["nq"])
-    gates = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        kv = dict(p.split("=") for p in parts[1:])
-        if parts[0] == "U2":
-            angles = GateAngles(alpha=float(kv["alpha"]), psi=float(kv["psi"]),
-                                chi=float(kv["chi"]), phi=float(kv["phi"]))
-            gates.append(SingleQubitGate(qubit=int(kv["q"]), angles=angles))
-        elif parts[0] == "CNOT":
-            gates.append(CnotGate(control=int(kv["c"]), target=int(kv["t"])))
-        else:
-            raise ValueError(f"unknown gate line: {ln!r}")
-    return Circuit(n_q=n_q, gates=tuple(gates), master_seed=int(header["seed"]),
-                   realization_index=int(header["idx"]))
+    try:
+        header = dict(kv.split("=", 1) for kv in lines[0].split())
+        n_q, seed, index = int(header["nq"]), int(header["seed"]), int(header["idx"])
+        if n_q < 1:
+            raise ValueError(f"nq={n_q} must be >= 1")
+        rows = [_parse_gate_line(ln, n_q) for ln in lines[1:]]
+    except KeyError as exc:
+        raise ValueError(f"circuit text lacks field {exc}") from None
+    is_u2, qubit, target, angles = zip(*rows) if rows else ((), (), (), ())
+    n_g = len(rows)
+    tape = GateTape(n_q=n_q, is_u2=np.array(is_u2, dtype=bool).reshape(1, n_g),
+                    qubit=np.array(qubit, dtype=np.intp).reshape(1, n_g),
+                    target=np.array(target, dtype=np.intp).reshape(1, n_g),
+                    angles=np.array(angles, dtype=float).reshape(1, n_g, 4))
+    return Circuit(tape=tape, master_seed=seed, realization_index=index)

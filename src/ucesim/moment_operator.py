@@ -27,6 +27,9 @@ CNOT_HI_CTRL = np.array(
 CNOT_LO_CTRL = np.array(
     [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=float)
 
+# Fewest Haar samples the Monte Carlo path accepts.
+MIN_MC_SAMPLES = 10_000
+
 # Qubit slots (most significant first) carrying the single-qubit unitary in
 # the 8-qubit tensor space of the four 4-dim copies.
 _HI_POSITIONS = (0, 2, 4, 6)
@@ -128,8 +131,8 @@ def build_moment_operator(sample_count: int = 100_000,
     else:
         if rng is None:
             rng = np.random.default_rng()
-        if sample_count < 10_000:
-            raise ValueError("sample_count must be >= 10**4 for the MC path")
+        if sample_count < MIN_MC_SAMPLES:
+            raise ValueError(f"sample_count must be >= {MIN_MC_SAMPLES} for the MC path")
         m_hi, s_hi = mc_two_copy_average(sample_count, rng)
         m_lo, s_lo = mc_two_copy_average(sample_count, rng)
         sigma = 0.25 * math.hypot(s_hi, s_lo)

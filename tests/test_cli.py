@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from ucesim import cli
@@ -116,10 +118,23 @@ def test_converge_bad_input_is_a_clear_error(tmp_path, capsys):
         assert run(["converge", *argv, *out]) == code, argv
         assert message in capsys.readouterr().err, argv
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n_q": [3], "sizing": [10, 2.5]}))
-    assert run(["converge", "--config", str(cfg), *out]) == 1
-    assert "sizing must be two integers" in capsys.readouterr().err
+    for data, message in (({"n_q": [3], "sizing": [10, 2.5]}, "sizing must be two integers"),
+                          ({"max_n_q": 30, "n_q": [25]}, "n_q=25 exceeds memory cap 24")):
+        cfg.write_text(json.dumps(data))
+        assert run(["converge", "--config", str(cfg), *out]) == 1, data
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err, err
     assert not os.path.exists(tmp_path / "manifest.json")
+
+
+def test_converge_unknown_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_q": [2], "nr": 5, "sizing": [1, 2],
+                               "statistics": ["mu2"], "checkpoints": [2, 4]}))
+    assert run(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "unknown config key(s) nr" in err, err
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_converge_bad_config_file(tmp_path):
@@ -170,9 +185,17 @@ def test_nstar_fit_all_unreachable(tmp_path, capsys):
     assert all(r.endswith("NA,NA,NA") for r in fit_rows)
 
 
-def test_nstar_fit_usage_errors(tmp_path):
+def test_nstar_fit_usage_errors(tmp_path, capsys):
     assert run(["nstar-fit", "--ln-eps", "-1"]) == 1
     assert run(["nstar-fit", "x.csv", "--ln-eps", ""]) == 1
+    capsys.readouterr()
+    for argv, message in ((["--ln-eps=a"], "expected a comma list of numbers, got 'a'"),
+                          (["--ln-eps=-1", "--guard", "0.5"], "--guard must exceed 1")):
+        out = tmp_path / "o"
+        assert run(["nstar-fit", "f.csv", *argv, "--out", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err, err
+        assert not os.path.exists(out)
 
 
 def test_gap_json_schema_and_determinism(tmp_path, capsys):
@@ -194,6 +217,14 @@ def test_gap_exact_flag(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["gap"] == pytest.approx(0.232703, abs=1e-5)
     assert report["sigma_estimate"] == 0.0
+
+
+def test_gap_samples_below_the_mc_minimum_is_a_usage_error(capsys):
+    assert run(["gap", "--samples", "5000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--samples must be >= 10000" in err, err
+    assert run(["gap", "--exact", "--samples", "5000"]) == 0
+    assert json.loads(capsys.readouterr().out)["multiplicity"] == 2
 
 
 def test_oracle_check_passes(capsys):
@@ -224,8 +255,41 @@ def test_dump_circuit_roundtrip(capsys):
     assert run(["dump-circuit", "--nq", "3", "--ng", "12", "--seed", "4",
                 "--index", "1"]) == 0
     text = capsys.readouterr().out
-    from ucesim.gateset import circuit_from_text, sample_circuit
-    assert circuit_from_text(text).gates == sample_circuit(4, 1, 3, 12).gates
+    from ucesim.gateset import circuit_from_text, circuit_to_text, sample_circuit
+    back, drawn = circuit_from_text(text).tape, sample_circuit(4, 1, 3, 12).tape
+    for field in ("is_u2", "qubit", "target", "angles"):
+        assert np.array_equal(getattr(back, field), getattr(drawn, field)), field
+    assert circuit_to_text(circuit_from_text(text)) == text
+
+
+def test_dump_circuit_bytes_are_pinned(capsys):
+    assert run(["dump-circuit", "--nq", "5", "--ng", "200", "--seed", "3",
+                "--index", "2"]) == 0
+    text = capsys.readouterr().out
+    assert text.splitlines()[:9] == [
+        "nq=5 seed=3 idx=2",
+        "U2 q=0 alpha=5.5860157295492003 psi=2.9083836265004499 "
+        "chi=0.75986329920394124 phi=0.53682524254076536",
+        "CNOT c=4 t=0",
+        "CNOT c=2 t=0",
+        "CNOT c=3 t=0",
+        "CNOT c=2 t=3",
+        "CNOT c=3 t=0",
+        "CNOT c=2 t=1",
+        "U2 q=2 alpha=1.9184309843236409 psi=5.7954865809037166 "
+        "chi=5.6615536662023453 phi=0.92314527199092322",
+    ]
+    assert len(text.splitlines()) == 201
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "598ca1f11702b3076cef14b1844922cd0a60c4fac8efe378bb0c889a6e85e683")
+
+
+def test_dump_circuit_usage_errors(capsys):
+    for argv, message in ((["--nq", "0", "--ng", "3"], "--nq must be >= 1"),
+                          (["--nq", "2", "--ng", "-1"], "--ng must be >= 0")):
+        assert run(["dump-circuit", *argv]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err, err
 
 
 def test_unknown_subcommand_is_usage_error():

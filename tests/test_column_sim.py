@@ -19,13 +19,11 @@ from ucesim.column_sim import (
 )
 from ucesim.gateset import (
     Circuit,
-    CnotGate,
-    GateAngles,
     GateTape,
+    circuit_from_text,
     draw_tape,
     realization_rng,
     sample_circuit,
-    sample_gate,
     u2_matrix,
 )
 
@@ -33,7 +31,7 @@ from ucesim.gateset import (
 def test_apply_single_qubit_derived_example():
     # direct 2x2 matrix-vector product with phi = pi/3
     state = initial_column(1)
-    apply_single_qubit(state, 0, u2_matrix(GateAngles(0, 0, 0, math.pi / 3)))
+    apply_single_qubit(state, 0, u2_matrix((0, 0, 0, math.pi / 3)))
     assert state.amplitudes == pytest.approx([0.5, -math.sqrt(3) / 2])
 
 
@@ -51,7 +49,7 @@ def test_apply_single_qubit_norm_preserved():
     for _ in range(50):
         q = int(rng.integers(10))
         apply_single_qubit(state, q, u2_matrix(
-            GateAngles(*(rng.random(3) * 2 * math.pi), rng.random() * math.pi / 2)))
+            (*(rng.random(3) * 2 * math.pi), rng.random() * math.pi / 2)))
     assert abs(state.norm_sq() - 1.0) < 1e-12
 
 
@@ -107,7 +105,7 @@ def test_apply_cnot_matches_dense_operator_every_pair():
                 state = initial_column(n_q)
                 state.amplitudes[:] = (rng.standard_normal(1 << n_q)
                                        + 1j * rng.standard_normal(1 << n_q))
-                expected = gate_matrix_full(CnotGate(c, t), n_q) @ state.amplitudes
+                expected = gate_matrix_full(n_q, False, c, t) @ state.amplitudes
                 apply_cnot(state, c, t)
                 assert np.array_equal(state.amplitudes, expected), (n_q, c, t)
 
@@ -126,9 +124,8 @@ def test_simulate_empty_circuit():
 
 def test_simulate_cnot_only_circuit_stays_at_e0():
     rng = np.random.default_rng(4)
-    gates = tuple(sample_gate(rng, 4, 0.0) for _ in range(30))
-    circuit = sample_circuit(0, 0, 4, 0)
-    circuit = type(circuit)(n_q=4, gates=gates, master_seed=0, realization_index=0)
+    circuit = Circuit(draw_tape([rng], 4, 30, 0.0), master_seed=0, realization_index=0)
+    assert not circuit.tape.is_u2.any()
     for snap in simulate_first_column(circuit, [10, 20, 30]):
         assert snap.amplitudes[0] == 1.0
         assert np.count_nonzero(snap.amplitudes) == 1
@@ -141,7 +138,7 @@ def test_simulate_checkpoint_beyond_n_g():
 
 def test_iter_checkpoints_yields_the_live_column():
     circuit = sample_circuit(5, 1, 3, 20)
-    tape = GateTape.from_gates(3, circuit.gates)
+    tape = circuit.tape
     cps = [0, 1, 4, 9, 20]
     seen = []
     for (k, block), snap in zip(iter_checkpoints(tape, cps),
@@ -169,7 +166,7 @@ def test_iter_checkpoints_applies_no_gate_past_the_last_checkpoint():
 
 
 def test_iter_checkpoints_rejects_bad_checkpoints():
-    tape = GateTape.from_gates(3, sample_circuit(5, 1, 3, 10).gates)
+    tape = sample_circuit(5, 1, 3, 10).tape
     for cps in ([3, 3], [4, 2], [-1, 2], [11]):
         with pytest.raises(ValueError):
             list(iter_checkpoints(tape, cps))
@@ -208,8 +205,9 @@ def test_block_step_equals_view_kernels_and_dense_oracle():
                 assert np.array_equal(walked[r], state.amplitudes), (n_q, rows, r)
                 assert np.array_equal(columns[r], state.amplitudes), (n_q, rows, r)
                 if r < 4:
-                    circuit = Circuit(n_q, tape.gates(r), master_seed=n_q,
-                                      realization_index=r)
+                    row = GateTape(n_q, tape.is_u2[r:r + 1], tape.qubit[r:r + 1],
+                                   tape.target[r:r + 1], tape.angles[r:r + 1])
+                    circuit = Circuit(row, master_seed=n_q, realization_index=r)
                     oracle = dense_unitary_oracle(circuit)[:, 0]
                     assert np.max(np.abs(block[r] - oracle)) < 1e-12, (n_q, rows, r)
 
@@ -226,14 +224,12 @@ def test_dense_oracle_empty_is_identity():
 
 
 def test_dense_oracle_single_cnot_is_permutation():
-    rng = realization_rng(0, 0)
-    gate = sample_gate(rng, 2, 0.0)
-    circuit = sample_circuit(0, 0, 2, 0)
-    circuit = type(circuit)(n_q=2, gates=(gate,), master_seed=0, realization_index=0)
-    u = dense_unitary_oracle(circuit)
-    assert np.array_equal(np.abs(u), np.abs(u).astype(int))
-    assert np.array_equal(u.sum(axis=0).real, np.ones(4))
-    assert np.array_equal(u.sum(axis=1).real, np.ones(4))
+    for text in ("nq=2 seed=0 idx=0\nCNOT c=0 t=1\n", "nq=2 seed=0 idx=0\nCNOT c=1 t=0\n"):
+        u = dense_unitary_oracle(circuit_from_text(text))
+        assert np.array_equal(np.abs(u), np.abs(u).astype(int))
+        assert np.array_equal(u.sum(axis=0).real, np.ones(4))
+        assert np.array_equal(u.sum(axis=1).real, np.ones(4))
+        assert not np.array_equal(u, np.eye(4))
 
 
 def test_dense_oracle_unitarity():

@@ -5,11 +5,9 @@ import pytest
 
 from ucesim.gateset import (
     TAPE_COLUMNS,
-    CnotGate,
+    Circuit,
     EnsembleConfig,
-    GateAngles,
     GateTape,
-    SingleQubitGate,
     circuit_from_text,
     circuit_to_text,
     draw_tape,
@@ -21,39 +19,74 @@ from ucesim.gateset import (
 )
 
 
+TAPE_FIELDS = ("is_u2", "qubit", "target", "angles")
+
+
+def _same_tape(a, b):
+    return a.n_q == b.n_q and all(np.array_equal(getattr(a, f), getattr(b, f))
+                                  for f in TAPE_FIELDS)
+
+
+def _part(tape, rows=slice(None), gates=slice(None)):
+    """The sub-tape of the given realizations and gates."""
+    return GateTape(tape.n_q, *(getattr(tape, f)[rows, gates] for f in TAPE_FIELDS))
+
+
+def _text(*gate_lines, n_q=2):
+    return "\n".join([f"nq={n_q} seed=0 idx=0", *gate_lines]) + "\n"
+
+
 def test_angle_ranges_and_phi_endpoints():
     # xi = 0 and xi = 1 map to the phi endpoints
     assert math.asin(math.sqrt(0.0)) == 0.0
     assert math.asin(math.sqrt(1.0)) == pytest.approx(math.pi / 2)
     rng = np.random.default_rng(0)
     for _ in range(500):
-        a = sample_u2_angles(rng)
-        assert 0 <= a.alpha < 2 * math.pi
-        assert 0 <= a.psi < 2 * math.pi
-        assert 0 <= a.chi < 2 * math.pi
-        assert 0 <= a.phi <= math.pi / 2
+        alpha, psi, chi, phi = sample_u2_angles(rng)
+        assert 0 <= alpha < 2 * math.pi
+        assert 0 <= psi < 2 * math.pi
+        assert 0 <= chi < 2 * math.pi
+        assert 0 <= phi <= math.pi / 2
 
 
 def test_angle_validation():
-    with pytest.raises(ValueError):
-        GateAngles(alpha=-0.1, psi=0, chi=0, phi=0)
-    with pytest.raises(ValueError):
-        GateAngles(alpha=0, psi=0, chi=0, phi=2.0)
+    for angles in ("alpha=-0.1 psi=0 chi=0 phi=0", "alpha=0 psi=0 chi=0 phi=2.0",
+                   "alpha=0 psi=6.3 chi=0 phi=0", "alpha=0 psi=0 chi=nan phi=0"):
+        with pytest.raises(ValueError, match="alpha, psi, chi must be in"):
+            circuit_from_text(_text(f"U2 q=0 {angles}"))
+    circuit_from_text(_text("U2 q=0 alpha=0 psi=0 chi=0 phi=1.5707963267948966"))
+
+
+def test_circuit_from_text_rejects_malformed_text():
+    for text, message in (
+        (_text("U2 q=2 alpha=0 psi=0 chi=0 phi=0"), "qubit index out of range"),
+        (_text("U2 q=-1 alpha=0 psi=0 chi=0 phi=0"), "qubit index out of range"),
+        (_text("CNOT c=0 t=2"), "qubit index out of range"),
+        (_text("CNOT c=2 t=0"), "qubit index out of range"),
+        (_text("CNOT c=1 t=1"), "control and target must differ"),
+        (_text(n_q=0), "nq=0 must be >= 1"),
+        (_text("SWAP a=0 b=1"), "unknown gate line"),
+        (_text("U2 q=0 alpha=0"), "lacks field"),
+        ("", "empty circuit text"),
+        ("\n  \n", "empty circuit text"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            circuit_from_text(text)
 
 
 def test_cos2_phi_mean_is_half():
     # E[cos^2 phi] = E[1 - xi] = 1/2; Var[1 - xi] = 1/12
     rng = np.random.default_rng(1)
     n = 200_000
-    vals = np.array([math.cos(sample_u2_angles(rng).phi) ** 2 for _ in range(n)])
+    vals = np.cos(draw_tape([rng], 1, n, 1.0).angles[0, :, 3]) ** 2
     sigma = math.sqrt(1.0 / 12.0 / n)
     assert abs(vals.mean() - 0.5) < 3 * sigma
 
 
 def test_u2_matrix_trivial_cases():
-    ident = u2_matrix(GateAngles(0, 0, 0, 0))
+    ident = u2_matrix((0, 0, 0, 0))
     assert np.allclose(ident, np.eye(2), atol=1e-15)
-    rot = u2_matrix(GateAngles(0, 0, 0, math.pi / 2))
+    rot = u2_matrix((0, 0, 0, math.pi / 2))
     assert np.allclose(rot, [[0, 1], [-1, 0]], atol=1e-15)
 
 
@@ -68,8 +101,7 @@ def test_u11_squared_uniform_ks():
     # Haar marginal: |u_11|^2 = cos^2 phi = 1 - xi, uniform on [0, 1]
     rng = np.random.default_rng(3)
     n = 200_000
-    vals = np.sort([abs(u2_matrix(sample_u2_angles(rng))[0, 0]) ** 2
-                    for _ in range(n)])
+    vals = np.sort(np.abs(draw_tape([rng], 1, n, 1.0).matrices()[0, :, 0, 0]) ** 2)
     ecdf_hi = np.arange(1, n + 1) / n
     ecdf_lo = np.arange(0, n) / n
     ks = max(np.max(np.abs(ecdf_hi - vals)), np.max(np.abs(vals - ecdf_lo)))
@@ -78,19 +110,18 @@ def test_u11_squared_uniform_ks():
 
 def test_sample_gate_degenerate_probabilities():
     rng = np.random.default_rng(4)
-    assert all(isinstance(sample_gate(rng, 3, 1.0), SingleQubitGate)
-               for _ in range(200))
-    assert all(isinstance(sample_gate(rng, 3, 0.0), CnotGate) for _ in range(200))
+    assert all(sample_gate(rng, 3, 1.0).is_u2.all() for _ in range(200))
+    assert not any(sample_gate(rng, 3, 0.0).is_u2.any() for _ in range(200))
 
 
 def test_sample_gate_cnot_pair_frequencies():
     rng = np.random.default_rng(5)
     n = 100_000
-    count01 = 0
-    for _ in range(n):
-        g = sample_gate(rng, 2, 0.0)
-        assert (g.control, g.target) in {(0, 1), (1, 0)}
-        count01 += g.control == 0
+    tape = draw_tape([rng], 2, n, 0.0)
+    assert not tape.is_u2.any()
+    pairs = set(zip(tape.qubit[0].tolist(), tape.target[0].tolist()))
+    assert pairs <= {(0, 1), (1, 0)}
+    count01 = int(np.count_nonzero(tape.qubit == 0))
     sigma = math.sqrt(n * 0.25)
     assert abs(count01 - n / 2) < 3 * sigma
 
@@ -98,37 +129,40 @@ def test_sample_gate_cnot_pair_frequencies():
 def test_sample_gate_kind_frequency():
     rng = np.random.default_rng(6)
     n = 100_000
-    singles = sum(isinstance(sample_gate(rng, 4, 0.5), SingleQubitGate)
-                  for _ in range(n))
+    singles = int(np.count_nonzero(draw_tape([rng], 4, n, 0.5).is_u2))
     sigma = math.sqrt(n * 0.25)
     assert abs(singles - n / 2) < 3 * sigma
 
 
 def test_single_qubit_forced_for_one_qubit():
     rng = np.random.default_rng(7)
-    assert all(isinstance(sample_gate(rng, 1, 0.0), SingleQubitGate)
-               for _ in range(100))
+    assert all(sample_gate(rng, 1, 0.0).is_u2.all() for _ in range(100))
 
 
 def test_sample_circuit_empty_and_deterministic():
-    assert sample_circuit(1, 0, 3, 0).gates == ()
+    assert sample_circuit(1, 0, 3, 0).n_g == 0
+    with pytest.raises(ValueError, match="n_q must be >= 1"):
+        sample_circuit(1, 0, 0, 3)
+    with pytest.raises(ValueError, match="n_g must be >= 0"):
+        sample_circuit(1, 0, 3, -1)
     c1 = sample_circuit(99, 2, 4, 25)
     c2 = sample_circuit(99, 2, 4, 25)
-    assert c1.gates == c2.gates
+    assert (c1.n_q, c1.n_g) == (4, 25)
+    assert _same_tape(c1.tape, c2.tape)
 
 
 def test_sample_circuit_prefix_property():
     for seed in (0, 17, 23):
         short = sample_circuit(seed, 1, 5, 10)
         long = sample_circuit(seed, 1, 5, 40)
-        assert long.gates[:10] == short.gates
+        assert _same_tape(_part(long.tape, gates=slice(10)), short.tape)
 
 
 def test_distinct_realization_streams():
     for seed in range(100):
         a = sample_circuit(seed, 0, 3, 10)
         b = sample_circuit(seed, 1, 3, 10)
-        assert a.gates != b.gates
+        assert not _same_tape(a.tape, b.tape)
 
 
 def test_realization_rng_independent_of_order():
@@ -146,7 +180,10 @@ def test_circuit_serialization_roundtrip():
     assert back.n_q == circuit.n_q
     assert back.master_seed == circuit.master_seed
     assert back.realization_index == circuit.realization_index
-    assert back.gates == circuit.gates  # 17 digits round-trip doubles exactly
+    assert _same_tape(back.tape, circuit.tape)  # 17 digits round-trip doubles exactly
+    assert circuit_to_text(back) == text
+    empty = circuit_from_text(circuit_to_text(sample_circuit(1, 0, 3, 0)))
+    assert _same_tape(empty.tape, sample_circuit(1, 0, 3, 0).tape)
 
 
 def test_ensemble_config_rejects_bad_checkpoints():
@@ -160,7 +197,9 @@ def test_sample_gate_is_one_tape_row():
     for n_q, p_g in ((1, 0.5), (2, 0.0), (3, 0.5), (5, 1.0), (7, 0.3)):
         rng, twin = np.random.default_rng(n_q), np.random.default_rng(n_q)
         gates = [sample_gate(rng, n_q, p_g) for _ in range(50)]
-        assert tuple(gates) == draw_tape([twin], n_q, 50, p_g).gates()
+        tape = draw_tape([twin], n_q, 50, p_g)
+        for g, gate in enumerate(gates):
+            assert _same_tape(gate, _part(tape, gates=slice(g, g + 1)))
         assert rng.random() == twin.random()  # same uniforms consumed
 
 
@@ -168,11 +207,10 @@ def test_draw_tape_prefix_property():
     for n_q in (1, 2, 4, 9):
         rngs = lambda: [realization_rng(3, r) for r in range(5)]  # noqa: E731
         short, long = draw_tape(rngs(), n_q, 12), draw_tape(rngs(), n_q, 40)
-        for field in ("is_u2", "qubit", "target", "angles"):
-            assert np.array_equal(getattr(long, field)[:, :12], getattr(short, field))
+        assert _same_tape(_part(long, gates=slice(12)), short)
         for r in range(5):
-            assert long.gates(r)[:12] == short.gates(r)
-            assert short.gates(r) == sample_circuit(3, r, n_q, 12).gates
+            assert _same_tape(_part(short, rows=slice(r, r + 1)),
+                              sample_circuit(3, r, n_q, 12).tape)
 
 
 def test_draw_tape_layout_and_ranges():
@@ -185,7 +223,10 @@ def test_draw_tape_layout_and_ranges():
     assert np.all(tape.target[0][~cnot] == tape.qubit[0][~cnot])
     assert np.all(tape.target[0][cnot] != tape.qubit[0][cnot])
     assert 0 <= tape.target.min() and tape.target.max() < n_q
-    assert np.array_equal(tape.angles[0, :, 3], np.arcsin(np.sqrt(u[:, 6])))
+    u2 = ~cnot
+    assert np.array_equal(tape.angles[0, u2, :3], u[u2, 3:6] * (2 * math.pi))
+    assert np.array_equal(tape.angles[0, u2, 3], np.arcsin(np.sqrt(u[u2, 6])))
+    assert not tape.angles[0, cnot].any()  # CNOT rows carry zero angles
     # every ordered pair is reachable
     pairs = set(zip(tape.qubit[0][cnot].tolist(), tape.target[0][cnot].tolist()))
     assert len(pairs) == n_q * (n_q - 1)
@@ -195,12 +236,12 @@ def test_tape_matrices_are_u2_matrix_and_roundtrip_gates():
     tape = draw_tape([realization_rng(2, r) for r in range(3)], 4, 30)
     m = tape.matrices()
     for r in range(3):
-        gates = tape.gates(r)
-        back = GateTape.from_gates(4, gates)
-        assert back.gates() == gates
+        row = _part(tape, rows=slice(r, r + 1))
+        back = circuit_from_text(circuit_to_text(Circuit(row, 2, r))).tape
+        assert _same_tape(back, row)
         assert np.array_equal(back.matrices()[0], m[r])
-        for g, gate in enumerate(gates):
-            if isinstance(gate, SingleQubitGate):
-                assert np.array_equal(u2_matrix(gate.angles), m[r, g])
+        for g in range(tape.n_g):
+            if tape.is_u2[r, g]:
+                assert np.array_equal(u2_matrix(tape.angles[r, g]), m[r, g])
             else:
-                assert not m[r, g].any()
+                assert not m[r, g].any() and not tape.angles[r, g].any()
