@@ -24,7 +24,7 @@ from collections import defaultdict
 import numpy as np
 
 from . import __version__
-from .column_sim import MAX_N_Q, StateColumn, dense_unitary_oracle, walk_block, walk_columns
+from .column_sim import StateColumn, dense_unitary_oracle, walk_block, walk_columns
 from .cue_ref import cue_correlator, cue_moment, sample_haar_first_column
 from .ensemble_stats import (
     ConvergenceCurve,
@@ -33,7 +33,7 @@ from .ensemble_stats import (
     intensities,
     moment_estimate,
 )
-from .gateset import STREAM_VERSION, EnsembleConfig, circuit_to_text, sample_circuit
+from .gateset import MAX_N_Q, STREAM_VERSION, EnsembleConfig, circuit_to_text, sample_circuit
 from .runner import geometric_checkpoints, run_ensemble
 from .scaling import MODELS, NStarPoint, fit_model, n_star
 
@@ -95,9 +95,9 @@ def _is_int_list(v) -> bool:
 
 # What each config value must be, checked after flags and file are merged.
 _CONFIG_TYPES = {
-    "n_q": (_is_int_list, "a list of integers"),
-    "statistics": (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-                   "a list of statistic labels"),
+    "n_q": (lambda v: _is_int_list(v) and v, "a list of integers (at least one)"),
+    "statistics": (lambda v: isinstance(v, list) and v and all(isinstance(x, str) for x in v),
+                   "a list of statistic labels (at least one)"),
     "checkpoints": (lambda v: v is None or _is_int_list(v), "null or a list of integers"),
     "n_r": (lambda v: v is None or _is_int(v), "null or an integer"),
     "sizing": (lambda v: v is None or (_is_int_list(v) and len(v) == 2),
@@ -144,17 +144,8 @@ def _effective_config(args) -> dict:
     for key, (ok, what) in _CONFIG_TYPES.items():
         if not ok(cfg[key]):
             raise UsageError(f"{key} must be {what}, got {cfg[key]!r}")
-    cap = min(cfg["max_n_q"], MAX_N_Q)
-    for nq in cfg["n_q"]:
-        if nq < 1:
-            raise UsageError(f"n_q={nq} must be >= 1")
-        if nq > cap:
-            raise UsageError(f"n_q={nq} exceeds memory cap {cap}")
-    for label in cfg["statistics"]:
-        try:
-            StatisticKind.parse(label)
-        except ValueError as exc:
-            raise UsageError(f"statistic {label!r}: {exc}") from None
+    if max(cfg["n_q"]) > cfg["max_n_q"]:
+        raise UsageError(f"n_q={max(cfg['n_q'])} exceeds memory cap {cfg['max_n_q']}")
     return cfg
 
 
@@ -168,19 +159,28 @@ def _write_curve_csv(path: str, curve: ConvergenceCurve):
 
 
 def cmd_converge(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
     cfg = _effective_config(args)
+    # Pre-flight: every run of every n_q is checked before anything is written.
+    cps = cfg["checkpoints"]
+    try:
+        stats = [StatisticKind.parse(label) for label in cfg["statistics"]]
+        configs = [EnsembleConfig(
+            n_q=nq, checkpoints=geometric_checkpoints(nq) if cps is None else tuple(cps),
+            master_seed=cfg["master_seed"], p_g=cfg["p_g"], n_r=cfg["n_r"],
+            sizing=tuple(cfg["sizing"]) if cfg["sizing"] else None) for nq in cfg["n_q"]]
+        for s in stats:  # a statistic that fits the smallest column fits them all
+            s.check_column(1 << min(cfg["n_q"]))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     out_dir = args.out or os.environ.get("UCESIM_OUT", ".")
     os.makedirs(out_dir, exist_ok=True)
-    for nq in cfg["n_q"]:
-        checkpoints = cfg["checkpoints"] or geometric_checkpoints(nq)
-        econf = EnsembleConfig(
-            n_q=nq, checkpoints=tuple(checkpoints), master_seed=cfg["master_seed"],
-            p_g=cfg["p_g"], n_r=cfg["n_r"],
-            sizing=tuple(cfg["sizing"]) if cfg["sizing"] else None)
-        curves = run_ensemble(econf, cfg["statistics"], workers=args.workers)
-        for label in cfg["statistics"]:
-            path = os.path.join(out_dir, f"curve_nq{nq}_{label}.csv")
-            _write_curve_csv(path, curves[label])
+    for econf in configs:
+        curves = run_ensemble(econf, stats, workers=args.workers)
+        for s in stats:
+            path = os.path.join(out_dir, f"curve_nq{econf.n_q}_{s.label}.csv")
+            _write_curve_csv(path, curves[s.label])
     manifest = {
         "config": cfg,
         "package_version": __version__,
@@ -343,8 +343,15 @@ def cmd_dump_circuit(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise UsageError(message)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type of every --seed and --index flag."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", help="comma list of gate counts")
     p.add_argument("--nr", type=int, help="explicit realization count")
     p.add_argument("--sizing", help="a,b for n_r = a*2^(b-nq)")
-    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--seed", type=_non_negative_int, help="master seed")
     p.add_argument("--pg", type=float, help="single-qubit gate probability")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="output directory (default $UCESIM_OUT or .)")
@@ -375,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="moment-operator spectral gap report")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--exact", action="store_true",
                    help="exact Haar averages instead of Monte Carlo")
     p.add_argument("--out", help="write the JSON report here as well")
@@ -384,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="run verification suites")
     p.add_argument("--nq-max", type=int, default=5)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("dump-circuit", help="print one circuit serialization")
     p.add_argument("--nq", type=int, required=True)
     p.add_argument("--ng", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--index", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--index", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_dump_circuit)
     return parser
 

@@ -19,10 +19,8 @@ from itertools import islice
 
 import numpy as np
 
-from .gateset import Circuit, GateTape
+from .gateset import MAX_N_Q, Circuit, GateTape
 
-# Memory guard: 2**24 complex amplitudes = 256 MiB.
-MAX_N_Q = 24
 # Up to this qubit count a chunk of realizations advances as one (R, N)
 # block; above it the per-column view kernels are faster (measured
 # crossover, see ROADMAP).
@@ -41,9 +39,6 @@ class StateColumn:
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def copy(self) -> "StateColumn":
-        return StateColumn(self.n_q, self.amplitudes.copy())
 
 
 def _check_n_q(n_q: int):

@@ -36,7 +36,7 @@ class StatisticKind:
         if self.kind not in ("pl", "mu", "c", "mufix"):
             raise ValueError(f"unknown statistic kind {self.kind!r}")
         if self.kind != "pl" and not 1 <= self.k <= 8:
-            raise ValueError("moment/correlator order k must be in 1..8")
+            raise ValueError(f"statistic {self.label}: moment/correlator order k must be in 1..8")
         if self.row < 0:
             raise ValueError("row must be >= 0")
 
@@ -64,6 +64,13 @@ class StatisticKind:
         if m:
             return cls("c", k=int(m.group(1)))
         raise ValueError(f"cannot parse statistic {label!r}")
+
+    def check_column(self, N: int):
+        """Raise ValueError unless this statistic is defined on a column of N elements."""
+        if self.kind == "mufix" and self.row >= N:
+            raise ValueError(f"statistic {self.label}: row {self.row} out of range for N={N}")
+        if self.kind == "c" and self.k > N:
+            raise ValueError(f"statistic {self.label}: correlator order {self.k} exceeds N={N}")
 
     def reference(self, N: int) -> float:
         """CUE limit of the estimator (undefined for 'pl')."""
@@ -243,12 +250,6 @@ class ConvergenceCurve:
     def __post_init__(self):
         if len(self.points) >= 4:
             self.d_min = saturation_floor(self.points)
-
-    def gate_counts(self) -> list:
-        return [p[0] for p in self.points]
-
-    def distances(self) -> list:
-        return [p[1] for p in self.points]
 
 
 def saturation_floor(points) -> float:

@@ -23,6 +23,8 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+# Memory guard: 2**24 complex amplitudes = 256 MiB.
+MAX_N_Q = 24
 # Version of the random-draw layout; any change to it changes output bits.
 STREAM_VERSION = 2
 # Uniforms per tape row: kind, qubit/control, target, alpha, psi, chi, xi.
@@ -31,7 +33,7 @@ TAPE_COLUMNS = 7
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Parameters of one convergence run at fixed qubit count.
+    """Parameters of one convergence run at fixed qubit count, all checked here.
 
     The realization count is either explicit (``n_r``) or derived from the
     sizing rule n_r = a * 2**(b - n_q), whichever is given.
@@ -45,23 +47,29 @@ class EnsembleConfig:
     sizing: tuple | None = (10, 20)
 
     def __post_init__(self):
+        if self.n_q < 1:
+            raise ValueError(f"n_q={self.n_q} must be >= 1")
+        if self.n_q > MAX_N_Q:
+            raise ValueError(f"n_q={self.n_q} exceeds memory cap {MAX_N_Q}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if not 0.0 <= self.p_g <= 1.0:
-            raise ValueError("p_g must be in [0, 1]")
+            raise ValueError(f"p_g must be in [0, 1], got {self.p_g}")
         cps = tuple(self.checkpoints)
         if not cps:
             raise ValueError("need at least one checkpoint")
         if any(b <= a for a, b in zip((-1, *cps), cps)):
             raise ValueError("checkpoints must be strictly increasing and >= 0")
-        if self.n_r is None and self.sizing is None:
-            raise ValueError("need n_r or a sizing rule (a, b)")
         if self.n_r is not None and self.n_r < 1:
-            raise ValueError("n_r must be >= 1")
+            raise ValueError(f"n_r must be >= 1, got {self.n_r}")
+        if self.n_r is None and (self.sizing is None or self.sizing[0] < 1):
+            raise ValueError(f"need n_r or a sizing rule (a, b) with a >= 1, got {self.sizing}")
 
     def resolved_n_r(self) -> int:
         if self.n_r is not None:
             return self.n_r
         a, b = self.sizing
-        return max(1, int(a) * 2 ** max(0, int(b) - self.n_q))
+        return int(a) * 2 ** max(0, int(b) - self.n_q)
 
     @property
     def max_gates(self) -> int:

@@ -29,6 +29,8 @@ CNOT_LO_CTRL = np.array(
 
 # Fewest Haar samples the Monte Carlo path accepts.
 MIN_MC_SAMPLES = 10_000
+# Haar samples per batch of mc_two_copy_average.
+MC_CHUNK = 4096
 
 # Qubit slots (most significant first) carrying the single-qubit unitary in
 # the 8-qubit tensor space of the four 4-dim copies.
@@ -68,8 +70,7 @@ def exact_two_copy_average() -> np.ndarray:
     return m.astype(complex)
 
 
-def mc_two_copy_average(sample_count: int, rng: np.random.Generator,
-                        chunk: int = 4096):
+def mc_two_copy_average(sample_count: int, rng: np.random.Generator):
     """Monte Carlo estimate of the U(2) two-copy average.
 
     Returns (M, sigma) with sigma the largest per-entry standard error of
@@ -81,7 +82,7 @@ def mc_two_copy_average(sample_count: int, rng: np.random.Generator,
     acc2 = np.zeros((16, 16))
     done = 0
     while done < sample_count:
-        n = min(chunk, sample_count - done)
+        n = min(MC_CHUNK, sample_count - done)
         u = haar_u2_batch(rng, n)
         uu = np.einsum("sab,scd->sacbd", u, u).reshape(n, 4, 4)
         m = np.einsum("sab,scd->sacbd", uu, uu.conj()).reshape(n, 16, 16)
@@ -129,8 +130,6 @@ def build_moment_operator(sample_count: int = 100_000,
         m_hi = m_lo = exact_two_copy_average()
         sigma = 0.0
     else:
-        if rng is None:
-            rng = np.random.default_rng()
         if sample_count < MIN_MC_SAMPLES:
             raise ValueError(f"sample_count must be >= {MIN_MC_SAMPLES} for the MC path")
         m_hi, s_hi = mc_two_copy_average(sample_count, rng)

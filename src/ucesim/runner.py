@@ -31,6 +31,9 @@ from .ensemble_stats import (
 from .gateset import EnsembleConfig, draw_tape, realization_rng
 
 CHUNK_SIZE = 64
+GRID_START = 2
+GRID_RATIO = math.sqrt(2.0)
+GRID_MAX_MULT = 40
 
 
 def _fold_block(stats, block, fold: dict):
@@ -48,8 +51,7 @@ def _run_chunk(args) -> list:
     """Fold realizations [start, stop) into one {label: accumulator} per
     checkpoint: a Histogram for pl, a list holding the one fsum-reduced
     (sum, count) pair for each scalar statistic."""
-    config, labels, start, stop = args
-    stats = [StatisticKind.parse(lb) for lb in labels]
+    config, stats, start, stop = args
     folds = [{s.label: Histogram(1 << config.n_q) if s.kind == "pl" else [] for s in stats}
              for _ in config.checkpoints]
     rngs = (realization_rng(config.master_seed, r) for r in range(start, stop))
@@ -89,17 +91,11 @@ def run_ensemble(config: EnsembleConfig, statistics, workers: int = 1) -> dict:
     """
     stats = list(dict.fromkeys(s if isinstance(s, StatisticKind) else StatisticKind.parse(s)
                                for s in statistics))
-    if not stats:
-        raise ValueError("no statistics requested")
     n = 1 << config.n_q
     for s in stats:
-        if s.kind == "mufix" and s.row >= n:
-            raise ValueError(f"fixed-element row {s.row} out of range for N={n}")
-        if s.kind == "c" and s.k > n:
-            raise ValueError(f"correlator order {s.k} exceeds N={n}")
-    labels = tuple(s.label for s in stats)
+        s.check_column(n)
     n_r = config.resolved_n_r()
-    chunk_args = [(config, labels, start, min(start + CHUNK_SIZE, n_r))
+    chunk_args = [(config, stats, start, min(start + CHUNK_SIZE, n_r))
                   for start in range(0, n_r, CHUNK_SIZE)]
 
     if workers <= 1 or len(chunk_args) == 1:
@@ -123,24 +119,17 @@ def run_ensemble(config: EnsembleConfig, statistics, workers: int = 1) -> dict:
     return curves
 
 
-def convergence_curve(config: EnsembleConfig, statistic, workers: int = 1) -> ConvergenceCurve:
-    """Convergence curve of a single statistic for one ensemble config."""
-    stat = statistic if isinstance(statistic, StatisticKind) else StatisticKind.parse(statistic)
-    return run_ensemble(config, [stat], workers=workers)[stat.label]
-
-
-def geometric_checkpoints(n_q: int, start: int = 2, ratio: float = math.sqrt(2.0),
-                          max_mult: int = 40) -> tuple:
+def geometric_checkpoints(n_q: int) -> tuple:
     """Roughly geometric gate-count grid {2, 3, 4, 6, 8, 11, 16, ...} up to
-    max_mult * n_q, deduplicated."""
-    limit = max_mult * n_q
+    GRID_MAX_MULT * n_q, deduplicated."""
+    limit = GRID_MAX_MULT * n_q
     cps = []
-    x = float(start)
+    x = float(GRID_START)
     while round(x) <= limit:
         v = int(round(x))
         if not cps or v > cps[-1]:
             cps.append(v)
-        x *= ratio
+        x *= GRID_RATIO
     if cps and cps[-1] < limit:
         cps.append(limit)
     return tuple(cps)

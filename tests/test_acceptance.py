@@ -23,7 +23,7 @@ from ucesim.ensemble_stats import (
     moment_estimate,
 )
 from ucesim.gateset import EnsembleConfig, draw_tape, realization_rng, sample_circuit
-from ucesim.runner import convergence_curve, geometric_checkpoints
+from ucesim.runner import geometric_checkpoints, run_ensemble
 from ucesim.scaling import NStarPoint, fit_model, n_star
 
 MASTER_SEED = 20260823
@@ -112,8 +112,8 @@ def test_criterion_6_convergence_qualitative():
     for n_r in (1000, 10_000):
         cfg = EnsembleConfig(n_q=4, checkpoints=(5, 10, 20, 50),
                              master_seed=MASTER_SEED + 3, n_r=n_r, sizing=None)
-        curves[n_r] = convergence_curve(cfg, "pl")
-    d = curves[10_000].distances()
+        curves[n_r] = run_ensemble(cfg, ["pl"])["pl"]
+    d = [dist for _, dist in curves[10_000].points]
     assert all(b < a for a, b in zip(d, d[1:]))
     assert d[-1] <= d[0] / 10
     assert curves[10_000].d_min < curves[1000].d_min
@@ -150,7 +150,7 @@ def test_criterion_8_desk_scale_scaling_study():
     for nq in range(2, 11):
         cfg = EnsembleConfig(n_q=nq, checkpoints=geometric_checkpoints(nq),
                              master_seed=MASTER_SEED + 4, sizing=(10, 16))
-        curve = convergence_curve(cfg, "mu2", workers=2)
+        curve = run_ensemble(cfg, ["mu2"], workers=2)["mu2"]
         ns = n_star(curve, eps, guard_factor=2.0)
         assert ns is not None, f"n* unreachable at n_q={nq}"
         points.append(NStarPoint(n_q=nq, ln_eps=ln_eps, n_star=ns))

@@ -106,9 +106,9 @@ def test_converge_rejects_memory_cap_violation(tmp_path):
 def test_converge_bad_input_is_a_clear_error(tmp_path, capsys):
     out = ["--out", str(tmp_path)]
     for argv, code, message in (
-        (["--nq", "3", "--checkpoints=-2,4", "--nr", "2", "--statistics", "mu2"], 2,
+        (["--nq", "3", "--checkpoints=-2,4", "--nr", "2", "--statistics", "mu2"], 1,
          "checkpoints must be strictly increasing and >= 0"),
-        (["--nq", "3", "--checkpoints=-2,4", "--nr", "2", "--statistics", "pl"], 2,
+        (["--nq", "3", "--checkpoints=-2,4", "--nr", "2", "--statistics", "pl"], 1,
          "checkpoints must be strictly increasing and >= 0"),
         (["--nq=-1", "--nr", "2"], 1, "n_q=-1 must be >= 1"),
         (["--nq", "0", "--nr", "2"], 1, "n_q=0 must be >= 1"),
@@ -119,12 +119,53 @@ def test_converge_bad_input_is_a_clear_error(tmp_path, capsys):
         assert message in capsys.readouterr().err, argv
     cfg = tmp_path / "cfg.json"
     for data, message in (({"n_q": [3], "sizing": [10, 2.5]}, "sizing must be two integers"),
-                          ({"max_n_q": 30, "n_q": [25]}, "n_q=25 exceeds memory cap 24")):
+                          ({"max_n_q": 30, "n_q": [25]}, "n_q=25 exceeds memory cap 24"),
+                          ({"n_q": [2], "n_r": 2, "sizing": None, "checkpoints": [2],
+                            "master_seed": -1}, "master_seed must be >= 0, got -1")):
         cfg.write_text(json.dumps(data))
         assert run(["converge", "--config", str(cfg), *out]) == 1, data
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and message in err, err
     assert not os.path.exists(tmp_path / "manifest.json")
+
+
+def test_converge_checks_the_whole_run_before_writing(tmp_path, capsys):
+    # A small valid run that each row makes invalid; the last flag wins.
+    base = ["converge", "--nq", "2", "--nr", "2", "--checkpoints", "2,4",
+            "--statistics", "pl,mu2"]
+    out = tmp_path / "out"
+    for argv, message in (
+        (["--pg", "2"], "p_g must be in [0, 1], got 2.0"),
+        (["--pg", "nan"], "p_g must be in [0, 1], got nan"),
+        (["--nr", "0"], "n_r must be >= 1, got 0"),
+        (["--sizing", "0,3"], "with a >= 1, got (0, 3)"),
+        (["--seed", "-5"], "argument --seed: must be >= 0, got -5"),
+        (["--checkpoints=-2,4"], "checkpoints must be strictly increasing and >= 0"),
+        (["--checkpoints", "4,4"], "checkpoints must be strictly increasing and >= 0"),
+        (["--checkpoints="], "need at least one checkpoint"),
+        (["--nq="], "n_q must be a list of integers (at least one), got []"),
+        (["--statistics="], "statistics must be a list of statistic labels (at least one)"),
+        (["--nq", "5,2", "--statistics", "mu2x8"], "statistic mu2x8: row 8 out of range for N=4"),
+        (["--nq", "2", "--statistics", "c8"], "statistic c8: correlator order 8 exceeds N=4"),
+        (["--workers", "0"], "--workers must be >= 1, got 0"),
+        (["--workers", "-1"], "--workers must be >= 1, got -1"),
+    ):
+        assert run([*base, *argv, "--out", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err, (argv, err)
+        assert not out.exists(), argv
+    assert run([*base, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["curve_nq2_mu2.csv", "curve_nq2_pl.csv", "manifest.json"]
+
+
+def test_negative_seed_or_index_names_the_flag(capsys):
+    for argv, flag in ((["gap", "--exact", "--seed", "-1"], "--seed"),
+                       (["oracle-check", "--trials", "1", "--seed", "-2"], "--seed"),
+                       (["dump-circuit", "--nq", "2", "--ng", "3", "--seed", "-3"], "--seed"),
+                       (["dump-circuit", "--nq", "2", "--ng", "3", "--index", "-4"], "--index")):
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: argument {flag}: must be >= 0"), err
 
 
 def test_converge_unknown_config_key_is_a_usage_error(tmp_path, capsys):

@@ -18,7 +18,7 @@ from ucesim.ensemble_stats import (
     saturation_floor,
 )
 from ucesim.gateset import EnsembleConfig, sample_circuit
-from ucesim.runner import convergence_curve, run_ensemble
+from ucesim.runner import run_ensemble
 
 
 def uniform_state(n_q):
@@ -231,15 +231,15 @@ def test_saturation_floor_synthetic_decay():
 
 def test_convergence_curve_checkpoint_zero_moment():
     cfg = EnsembleConfig(n_q=2, checkpoints=(0, 2), master_seed=1, n_r=5, sizing=None)
-    curve = convergence_curve(cfg, "mu2")
+    curve = run_ensemble(cfg, ["mu2"])["mu2"]
     assert curve.points[0] == (0, pytest.approx(1.5))  # |4 - 1.6| / 1.6
 
 
 def test_convergence_curve_qualitative_decrease():
     cfg = EnsembleConfig(n_q=4, checkpoints=(5, 10, 20, 50), master_seed=2,
                          n_r=1000, sizing=None)
-    curve = convergence_curve(cfg, "pl")
-    d = curve.distances()
+    curve = run_ensemble(cfg, ["pl"])["pl"]
+    d = [dist for _, dist in curve.points]
     assert all(b < a for a, b in zip(d, d[1:]))
     assert d[-1] <= d[0] / 10
 
@@ -282,7 +282,7 @@ def test_run_ensemble_worker_count_invariance():
 def test_run_ensemble_sizing_rule():
     cfg = EnsembleConfig(n_q=5, checkpoints=(2,), master_seed=0, sizing=(10, 8))
     assert cfg.resolved_n_r() == 10 * 2 ** 3
-    curve = convergence_curve(cfg, "mu1")
+    curve = run_ensemble(cfg, ["mu1"])["mu1"]
     assert curve.n_r == 80
     # first moment is pinned to 1 by normalization regardless of convergence
     assert curve.points[0][1] < 1e-10

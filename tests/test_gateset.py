@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from ucesim.gateset import (
+    MAX_N_Q,
     TAPE_COLUMNS,
     Circuit,
     EnsembleConfig,
@@ -191,6 +193,23 @@ def test_ensemble_config_rejects_bad_checkpoints():
         with pytest.raises(ValueError):
             EnsembleConfig(n_q=3, checkpoints=cps, master_seed=0, n_r=2, sizing=None)
     assert EnsembleConfig(n_q=3, checkpoints=(0, 4), master_seed=0).max_gates == 4
+
+
+def test_ensemble_config_owns_the_run_rules():
+    ok = dict(n_q=3, checkpoints=(2,), master_seed=0, n_r=2, sizing=None)
+    for bad, message in (({"n_q": 0}, "n_q=0 must be >= 1"),
+                         ({"n_q": MAX_N_Q + 1}, f"exceeds memory cap {MAX_N_Q}"),
+                         ({"master_seed": -1}, "master_seed must be >= 0"),
+                         ({"p_g": float("nan")}, "p_g must be in"),
+                         ({"n_r": 0}, "n_r must be >= 1"),
+                         ({"n_r": None}, "need n_r or a sizing rule"),
+                         ({"n_r": None, "sizing": (0, 5)}, "with a >= 1")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            EnsembleConfig(**{**ok, **bad})
+    for n_q in (1, MAX_N_Q):
+        assert EnsembleConfig(**{**ok, "n_q": n_q}).n_q == n_q
+    assert EnsembleConfig(**{**ok, "n_r": None, "sizing": (1, 0)}).resolved_n_r() == 1
+    assert EnsembleConfig(**{**ok, "n_r": None, "sizing": (3, 5)}).resolved_n_r() == 12
 
 
 def test_sample_gate_is_one_tape_row():
