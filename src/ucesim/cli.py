@@ -149,10 +149,15 @@ def _effective_config(args) -> dict:
     return cfg
 
 
+# Curve CSV columns, in file order, and how nstar-fit reads each.
+_CURVE_FIELDS = {"nq": int, "ng": int, "statistic": StatisticKind.parse, "value": float,
+                 "n_r": int, "seed": int}
+
+
 def _write_curve_csv(path: str, curve: ConvergenceCurve):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["nq", "ng", "statistic", "value", "n_r", "seed"])
+        writer.writerow(_CURVE_FIELDS)
         for ng, d in curve.points:
             writer.writerow([curve.n_q, ng, curve.statistic.label, _fmt(d),
                              curve.n_r, curve.master_seed])
@@ -194,26 +199,51 @@ def cmd_converge(args) -> int:
     return EXIT_OK
 
 
+def _curve_rows(path: str):
+    """Yield (path:line, {column: value}) for each row of a curve CSV; a
+    missing column or a bad field is a UsageError at path:line."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in _CURVE_FIELDS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise UsageError(f"{path}:1: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            fields = {}
+            for column, read in _CURVE_FIELDS.items():
+                try:
+                    fields[column] = read(row[column])
+                except (TypeError, ValueError):
+                    raise UsageError(f"{where}: bad {column} {row[column]!r}") from None
+            yield where, fields
+
+
 def read_curves(paths) -> dict:
-    """Load curve CSVs, returning {statistic: {nq: ConvergenceCurve}}."""
-    grouped = defaultdict(lambda: defaultdict(list))
-    meta = {}
+    """Load curve CSVs, returning {statistic: {nq: ConvergenceCurve}}.
+
+    The rows of one (statistic, nq) must come from one run: one n_r, one
+    seed and no gate count twice. Anything else is a UsageError that names
+    both files.
+    """
+    runs = {}  # (label, nq) -> (statistic, n_r, seed, first file)
+    points = defaultdict(dict)  # (label, nq) -> {ng: (value, file)}
     for path in paths:
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                key = (row["statistic"], int(row["nq"]))
-                grouped[row["statistic"]][int(row["nq"])].append(
-                    (int(row["ng"]), float(row["value"])))
-                meta[key] = (int(row["n_r"]), int(row["seed"]))
+        for where, f in _curve_rows(path):
+            stat = f["statistic"]
+            key = (stat.label, f["nq"])
+            _, n_r, seed, first = runs.setdefault(key, (stat, f["n_r"], f["seed"], path))
+            clash = f"{where}: statistic {stat.label} at nq {f['nq']}"
+            if (f["n_r"], f["seed"]) != (n_r, seed):
+                raise UsageError(f"{clash} has n_r {f['n_r']} and seed {f['seed']}, "
+                                 f"but {first} has n_r {n_r} and seed {seed}")
+            if f["ng"] in points[key]:
+                raise UsageError(f"{clash} repeats ng {f['ng']} of {points[key][f['ng']][1]}")
+            points[key][f["ng"]] = (f["value"], path)
     curves = {}
-    for label, by_nq in grouped.items():
-        curves[label] = {}
-        for nq, points in by_nq.items():
-            points.sort()
-            n_r, seed = meta[(label, nq)]
-            curves[label][nq] = ConvergenceCurve(
-                n_q=nq, statistic=StatisticKind.parse(label), points=points,
-                n_r=n_r, master_seed=seed)
+    for (label, nq), (stat, n_r, seed, _) in runs.items():
+        curves.setdefault(label, {})[nq] = ConvergenceCurve(
+            n_q=nq, statistic=stat, n_r=n_r, master_seed=seed,
+            points=[(ng, value) for ng, (value, _) in sorted(points[(label, nq)].items())])
     return curves
 
 
@@ -225,9 +255,9 @@ def cmd_nstar_fit(args) -> int:
         raise UsageError("empty --ln-eps list")
     if not args.guard > 1:
         raise UsageError(f"--guard must exceed 1, got {args.guard}")
+    curves = read_curves(args.curves)
     out_dir = args.out or os.environ.get("UCESIM_OUT", ".")
     os.makedirs(out_dir, exist_ok=True)
-    curves = read_curves(args.curves)
     warnings = 0
     for label in sorted(curves):
         by_nq = curves[label]
@@ -322,7 +352,7 @@ def cmd_oracle_check(args) -> int:
             ok = abs(est - ref) < 1e-12
         else:
             stat = StatisticKind.parse(label)
-            means = [t / c for t, c in (stat.state_sum(intensities(s)) for s in states)]
+            means = [stat.state_sum(intensities(s)) / stat.terms(N) for s in states]
             ok = abs(est - ref) < 5 * float(np.std(means)) / math.sqrt(len(states))
         failures += not ok
         print(f"haar {label} est={est:.6f} ref={ref:.6f} {'ok' if ok else 'FAIL'}")

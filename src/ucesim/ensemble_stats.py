@@ -4,7 +4,9 @@ Statistics are gathered over both circuit realizations and the elements of
 the first column: the binned log-intensity distribution, moments of
 y = N |U_i1|^2 up to order 8, and non-overlapping same-column intensity
 correlators. Distances are a Hellinger-type histogram distance (bounded by
-2) and relative deviations for moments/correlators.
+2) and relative deviations for moments/correlators. A scalar statistic's
+per-state sum is one number per column, and ``StatisticKind.terms`` counts
+its terms.
 """
 
 from __future__ import annotations
@@ -80,14 +82,32 @@ class StatisticKind:
             return cue_correlator(self.k, N)
         return cue_moment(self.k, N)
 
-    def state_sum(self, y: np.ndarray) -> tuple:
-        """(sum, count) of this scalar statistic over one column's intensities
-        y, or (per-row sums, count per row) for an (R, N) block."""
+    def terms(self, N: int) -> int:
+        """Number of terms in one column's ``state_sum``: N for mu{k}, 1 for
+        mu{k}x{row} and floor(N/k) for c{k}."""
         if self.kind == "pl":
             raise ValueError("'pl' has no per-state sum; use the histogram")
         if self.kind == "c":
-            return correlator_sum(y, self.k)
-        return moment_sum(y, self.k, self.row if self.kind == "mufix" else None)
+            return N // self.k
+        return N if self.kind == "mu" else 1
+
+    def state_sum(self, y: np.ndarray):
+        """Sum of this scalar statistic's terms over one column's intensities
+        y, or the R row sums of an (R, N) block; ``terms`` counts them.
+
+        mu{k} sums y^k over the column and mu{k}x{row} probes one element.
+        c{k} splits the column into floor(N/k) blocks of k consecutive
+        elements and sums their products; leftovers are unused so no element
+        enters two products.
+        """
+        if self.kind == "mu":
+            return (y ** self.k).sum(axis=-1)
+        if self.kind == "mufix":
+            return y[..., self.row] ** self.k
+        if self.kind == "c":
+            nb, k = self.terms(y.shape[-1]), self.k
+            return y[..., : nb * k].reshape(*y.shape[:-1], nb, k).prod(axis=-1).sum(axis=-1)
+        raise ValueError("'pl' has no per-state sum; use the histogram")
 
 
 class Histogram:
@@ -169,46 +189,15 @@ def intensities(state) -> np.ndarray:
     return a.shape[-1] * np.abs(a) ** 2
 
 
-def moment_sum(y: np.ndarray, k: int, row: int | None = None) -> tuple:
-    """(sum of y^k, element count) over one column's intensities y; for an
-    (R, N) block, the R row sums and the count per row.
-
-    With ``row`` given, only that element is probed (no column average).
-    """
-    if row is None:
-        return (y ** k).sum(axis=-1), y.shape[-1]
-    return y[..., row] ** k, 1
-
-
-def correlator_sum(y: np.ndarray, k: int) -> tuple:
-    """(sum of block products, block count) over one column's intensities
-    y; for an (R, N) block, the R row sums and the count per row.
-
-    The column is split into floor(N/k) blocks of k consecutive elements;
-    leftovers are unused so no element enters two products.
-    """
-    n = y.shape[-1]
-    if k > n:
-        raise ValueError(f"k={k} exceeds column length N={n}")
-    nb = n // k
-    return y[..., : nb * k].reshape(*y.shape[:-1], nb, k).prod(axis=-1).sum(axis=-1), nb
-
-
-def fsum_pairs(pairs) -> tuple[float, int]:
-    """(correctly rounded total, summed count) of (sum, count) pairs.
-
-    The total is the exact sum rounded once, so it does not depend on the
-    order of the pairs.
-    """
-    pairs = list(pairs)
-    return math.fsum(t for t, _ in pairs), sum(n for _, n in pairs)
-
-
-def _mean_over_states(states, state_sum, *args) -> float:
-    total, count = fsum_pairs(state_sum(intensities(s), *args) for s in states)
-    if count == 0:
+def _mean_over_states(states, stat: StatisticKind) -> float:
+    """The reference mean of a scalar statistic over columns of one length N:
+    the fsum of the per-state sums divided by terms(N) * states."""
+    ys = [intensities(s) for s in states]
+    if not ys:
         raise ValueError("empty state stream")
-    return total / count
+    n = ys[0].shape[-1]
+    stat.check_column(n)
+    return math.fsum(stat.state_sum(y) for y in ys) / (stat.terms(n) * len(ys))
 
 
 def moment_estimate(states, k: int, row: int | None = None) -> float:
@@ -216,16 +205,13 @@ def moment_estimate(states, k: int, row: int | None = None) -> float:
 
     With ``row`` given, only that element is probed (no column average).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _mean_over_states(states, moment_sum, k, row)
+    return _mean_over_states(states, StatisticKind("mu", k) if row is None
+                             else StatisticKind("mufix", k, row))
 
 
 def correlator_estimate(states, k: int) -> float:
     """Mean product of y over consecutive disjoint k-element blocks."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _mean_over_states(states, correlator_sum, k)
+    return _mean_over_states(states, StatisticKind("c", k))
 
 
 def relative_deviation(estimate: float, reference: float) -> float:

@@ -101,6 +101,15 @@ def u2_matrices(alpha, psi, chi, phi) -> np.ndarray:
     return u
 
 
+def haar_angles(u) -> np.ndarray:
+    """(alpha, psi, chi, phi) of a Haar U(2) from four uniforms (..., 4):
+    the first three times 2*pi, and phi = arcsin(sqrt(xi)) from the fourth."""
+    angles = np.empty(np.shape(u))
+    angles[..., :3] = u[..., :3] * TWO_PI
+    angles[..., 3] = np.arcsin(np.sqrt(u[..., 3]))
+    return angles
+
+
 def u2_matrix(angles) -> np.ndarray:
     """The 2x2 unitary of one gate's angles (alpha, psi, chi, phi)."""
     return u2_matrices(*angles)
@@ -156,7 +165,7 @@ def draw_tape(rngs, n_q: int, n_g: int, p_g: float = 0.5) -> GateTape:
     Each realization takes one ``rng.random((n_g, 7))`` call; row g holds
     the uniforms of gate g: kind (U(2) if < p_g, always for n_q = 1),
     qubit or control, target (a uniform pick among the other n_q - 1
-    qubits), alpha, psi, chi (times 2*pi) and xi, with phi = arcsin(sqrt(xi)).
+    qubits), and alpha, psi, chi, xi, which ``haar_angles`` turns into angles.
     Drawing more gates extends the tape without changing its prefix.
     """
     if n_q < 1:
@@ -168,9 +177,7 @@ def draw_tape(rngs, n_q: int, n_g: int, p_g: float = 0.5) -> GateTape:
     qubit = (u[..., 1] * n_q).astype(np.intp)
     target = (u[..., 2] * (n_q - 1)).astype(np.intp)
     target += target >= qubit
-    angles = np.empty(u.shape[:2] + (4,))
-    angles[..., :3] = u[..., 3:6] * TWO_PI
-    angles[..., 3] = np.arcsin(np.sqrt(u[..., 6]))
+    angles = haar_angles(u[..., 3:])
     angles *= is_u2[..., None]
     return GateTape(n_q=n_q, is_u2=is_u2, qubit=qubit,
                     target=np.where(is_u2, qubit, target), angles=angles)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gateset import TWO_PI, u2_matrices
+from .gateset import haar_angles, u2_matrices
 
 # 4x4 CNOTs on a qubit pair |hi, lo> (index = 2*hi + lo).
 CNOT_HI_CTRL = np.array(
@@ -50,10 +50,9 @@ class GapResult:
 
 def haar_u2_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     """n Haar-distributed 2x2 unitaries, shape (n, 2, 2), built by the gate
-    set's U(2) formula."""
-    alpha, psi, chi = rng.random((3, n)) * TWO_PI
-    phi = np.arcsin(np.sqrt(rng.random(n)))
-    return u2_matrices(alpha, psi, chi, phi)
+    set's Haar angle conversion and U(2) formula."""
+    u = np.vstack([rng.random((3, n)), rng.random(n)]).T
+    return u2_matrices(*haar_angles(u).T)
 
 
 def exact_two_copy_average() -> np.ndarray:

@@ -4,9 +4,10 @@ Realizations are partitioned into fixed-size chunks regardless of the worker
 count. A chunk draws one gate tape row per realization and folds the blocks
 of columns that ``iter_checkpoints`` yields into one ``Histogram`` per
 checkpoint for pl and, per checkpoint and scalar statistic, the
-``math.fsum`` of the per-state sums. ``run_ensemble`` adds
-the chunks' integer bin counts and takes one more ``fsum`` over the chunk
-partials. Integer counts and correctly rounded sums do not depend on the
+``math.fsum`` of the per-state sums: one float per column, whose term count
+``StatisticKind.terms`` fixes. ``run_ensemble`` adds the chunks' integer bin
+counts, takes one more ``fsum`` over the chunk sums and divides it by
+terms(N) * n_r. Integer counts and correctly rounded sums do not depend on the
 order in which chunks arrive, so every output bit is the same for 1 or 8
 workers; the fixed chunk size is the only grouping.
 """
@@ -23,7 +24,6 @@ from .ensemble_stats import (
     ConvergenceCurve,
     Histogram,
     StatisticKind,
-    fsum_pairs,
     hellinger_distance,
     intensities,
     relative_deviation,
@@ -43,14 +43,13 @@ def _fold_block(stats, block, fold: dict):
         if s.kind == "pl":
             fold[s.label].add(np.log(y))
         else:
-            sums, count = s.state_sum(y)
-            fold[s.label].extend((t, count) for t in sums.tolist())
+            fold[s.label].extend(s.state_sum(y).tolist())
 
 
 def _run_chunk(args) -> list:
     """Fold realizations [start, stop) into one {label: accumulator} per
-    checkpoint: a Histogram for pl, a list holding the one fsum-reduced
-    (sum, count) pair for each scalar statistic."""
+    checkpoint: a Histogram for pl, a list holding the chunk's one
+    fsum-reduced sum for each scalar statistic."""
     config, stats, start, stop = args
     folds = [{s.label: Histogram(1 << config.n_q) if s.kind == "pl" else [] for s in stats}
              for _ in config.checkpoints]
@@ -62,18 +61,16 @@ def _run_chunk(args) -> list:
     for fold in folds:
         for s in stats:
             if s.kind != "pl":
-                fold[s.label] = [fsum_pairs(fold[s.label])]
+                fold[s.label] = [math.fsum(fold[s.label])]
     return folds
 
 
 def _merge(stats, partials) -> list:
-    """Merge chunk folds in chunk order: bin counts add, (sum, count) pairs
-    are collected for one final fsum."""
-    merged = None
+    """Merge chunk folds in chunk order: bin counts add, chunk sums are
+    collected for one final fsum."""
+    partials = iter(partials)
+    merged = next(partials)
     for folds in partials:
-        if merged is None:
-            merged = folds
-            continue
         for fold, part in zip(merged, folds):
             for s in stats:
                 if s.kind == "pl":
@@ -111,8 +108,8 @@ def run_ensemble(config: EnsembleConfig, statistics, workers: int = 1) -> dict:
             if s.kind == "pl":
                 d = hellinger_distance(fold[s.label])
             else:
-                total, count = fsum_pairs(fold[s.label])
-                d = relative_deviation(total / count, s.reference(n))
+                mean = math.fsum(fold[s.label]) / (s.terms(n) * n_r)
+                d = relative_deviation(mean, s.reference(n))
             points.append((ng, d))
         curves[s.label] = ConvergenceCurve(n_q=config.n_q, statistic=s, points=points,
                                            n_r=n_r, master_seed=config.master_seed)

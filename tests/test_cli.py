@@ -237,6 +237,48 @@ def test_nstar_fit_usage_errors(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and message in err, err
         assert not os.path.exists(out)
+    header = "nq,ng,statistic,value,n_r,seed\n"
+    for text, message in (
+            ("nq,ng\n3,1\n", "bad.csv:1: missing column(s) statistic, value, n_r, seed"),
+            (header + "3,1,mu2,0.5,40,1\n3,x,mu2,0.5,40,1\n", "bad.csv:3: bad ng 'x'"),
+            (header + "3,1,mu2,oops,40,1\n", "bad.csv:2: bad value 'oops'"),
+            (header + "3,1,foo,0.5,40,1\n", "bad.csv:2: bad statistic 'foo'"),
+            (header + "3,1,mu2,0.5,40\n", "bad.csv:2: bad seed None")):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert run(["nstar-fit", str(path), "--ln-eps=-1", "--out", str(out)]) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err, err
+        assert not os.path.exists(out)
+    # A missing file is a runtime error, still raised before --out exists.
+    out = tmp_path / "o"
+    assert run(["nstar-fit", str(tmp_path / "missing.csv"), "--ln-eps=-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not os.path.exists(out)
+
+
+def test_nstar_fit_refuses_to_mix_runs(tmp_path, capsys):
+    paths = []
+    for seed in (1, 2):
+        out = str(tmp_path / f"s{seed}")
+        assert run(["converge", "--nq", "3", "--statistics", "mu2", "--nr", "40",
+                    "--seed", str(seed), "--out", out]) == 0
+        paths.append(os.path.join(out, "curve_nq3_mu2.csv"))
+    other_nr = tmp_path / "nr.csv"
+    other_nr.write_bytes(read(paths[0]).replace(b",40,1\r\n", b",41,1\r\n"))
+    first = f"{paths[0]} has n_r 40 and seed 1"
+    for pair, message in (([paths[0], paths[1]], f"has n_r 40 and seed 2, but {first}"),
+                          ([paths[0], str(other_nr)], f"has n_r 41 and seed 1, but {first}"),
+                          ([paths[0], paths[0]], f"repeats ng 2 of {paths[0]}")):
+        out = tmp_path / "fit"
+        assert run(["nstar-fit", *pair, "--ln-eps=-1", "--out", str(out)]) == 1, pair
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {pair[1]}:2: statistic mu2 at nq 3 "), err
+        assert message in err, err
+        assert not os.path.exists(out)
+    for path in paths:  # each run alone is fine
+        assert run(["nstar-fit", path, "--ln-eps=-1", "--out", str(tmp_path / "fit")]) == 0
 
 
 def test_gap_json_schema_and_determinism(tmp_path, capsys):

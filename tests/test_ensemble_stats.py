@@ -180,6 +180,17 @@ def test_moment_estimate_empty_stream():
         moment_estimate([], 2)
 
 
+def test_estimators_take_the_orders_of_the_statistic_labels():
+    states = [uniform_state(4)]
+    for bad in (
+            lambda: moment_estimate(states, 0),
+            lambda: moment_estimate(states, 9),
+            lambda: moment_estimate(states, 2, row=16),  # N = 16
+            lambda: correlator_estimate(states, 9)):
+        with pytest.raises(ValueError):
+            bad()
+
+
 def test_correlator_uniform_and_e0():
     for k in (1, 2, 4):
         assert correlator_estimate([uniform_state(3)], k) == pytest.approx(1.0)
@@ -264,9 +275,20 @@ def test_state_sums_of_a_block_equal_per_column_sums():
     y = intensities(np.array([sample_haar_first_column(32, rng) for _ in range(7)]))
     for label in ("mu1", "mu2", "mu5", "c2", "c3", "c8", "mu3x5"):
         stat = StatisticKind.parse(label)
-        sums, count = stat.state_sum(y)
+        sums = stat.state_sum(y)
+        assert sums.shape == (7,), label
         for r in range(7):
-            assert (sums[r], count) == stat.state_sum(y[r]), label
+            assert sums[r] == stat.state_sum(y[r]), label
+
+
+def test_terms_counts_the_terms_of_a_state_sum():
+    # An all-ones column makes every term 1, so each row sums to its term count.
+    for label in ("mu1", "mu8", "c2", "c3", "c8", "mu3x5"):
+        stat = StatisticKind.parse(label)
+        for n in range(8, 2049):
+            assert np.array_equal(stat.state_sum(np.ones((3, n))), [stat.terms(n)] * 3), (label, n)
+    with pytest.raises(ValueError):
+        StatisticKind.parse("pl").terms(8)
 
 
 def test_run_ensemble_worker_count_invariance():
@@ -297,12 +319,14 @@ def test_run_ensemble_validates_statistics():
 
 
 def test_run_ensemble_equals_reference_path():
-    # One realization and one full chunk: the runner's curves must equal, bit
-    # for bit, the ones built from the oracle-checked sample_circuit ->
-    # simulate_first_column path through the public estimators.
+    # The runner's curves must equal, bit for bit, the ones built from the
+    # oracle-checked sample_circuit -> simulate_first_column path. A scalar
+    # point is the fsum of each 64-realization chunk's per-state sums, one
+    # more fsum over the chunk sums, over terms(N) * n_r; within one chunk
+    # that is the public estimators' mean. (3, 130) runs chunks of 64, 64, 2.
     stats = ["pl", "mu2", "c2", "mu2x1"]
     cps = (0, 1, 2, 5, 12, 30)
-    for n_q, n_r in ((1, 1), (3, 1), (6, 1), (3, 64)):
+    for n_q, n_r in ((1, 1), (3, 1), (6, 1), (3, 64), (3, 130)):
         cfg = EnsembleConfig(n_q=n_q, checkpoints=cps, master_seed=11, n_r=n_r, sizing=None)
         curves = run_ensemble(cfg, stats)
         n = 1 << n_q
@@ -318,13 +342,15 @@ def test_run_ensemble_equals_reference_path():
                     for s in states:
                         hist.add(log_intensities(s))
                     d.append(hellinger_distance(hist))
-                elif stat.kind == "c":
-                    d.append(relative_deviation(correlator_estimate(states, stat.k),
-                                                stat.reference(n)))
-                else:
+                    continue
+                chunk_sums = [math.fsum(stat.state_sum(intensities(s)) for s in states[i:i + 64])
+                              for i in range(0, n_r, 64)]
+                mean = math.fsum(chunk_sums) / (stat.terms(n) * n_r)
+                if n_r <= 64:
                     row = stat.row if stat.kind == "mufix" else None
-                    d.append(relative_deviation(moment_estimate(states, stat.k, row),
-                                                stat.reference(n)))
+                    assert mean == (correlator_estimate(states, stat.k) if stat.kind == "c"
+                                    else moment_estimate(states, stat.k, row)), label
+                d.append(relative_deviation(mean, stat.reference(n)))
             points = list(zip(cps, d))
             expected = ConvergenceCurve(n_q=n_q, statistic=stat, points=points,
                                         n_r=n_r, master_seed=11)
