@@ -325,7 +325,7 @@ def cmd_oracle_check(args) -> int:
         raise UsageError("nq-max must be in 2..8")
     failures = 0
 
-    # Both walks (block step and per-column view kernels) against the
+    # Both walks (block step and per-column slab kernels) against the
     # dense full-matrix oracle.
     for trial in range(args.trials):
         nq = 2 + trial % (args.nq_max - 1)

@@ -6,7 +6,8 @@ little-endian: qubit q occupies bit q of the row index.
 
 Realizations are read from a ``GateTape``. Small columns advance a whole
 block of realizations per gate with one uniform step (``block_step``);
-large ones go one column at a time through the in-place view kernels.
+large ones go one column at a time through the in-place kernels, which walk
+the column in cache-sized slabs and allocate O(slab), not O(column).
 
 A dense full-matrix oracle is provided for small qubit counts as an
 independent cross-check.
@@ -22,11 +23,12 @@ import numpy as np
 from .gateset import MAX_N_Q, Circuit, GateTape
 
 # Up to this qubit count a chunk of realizations advances as one (R, N)
-# block; above it the per-column view kernels are faster (measured
-# crossover, see ROADMAP).
+# block; above it the per-column kernels are faster (measured crossover, see
+# ROADMAP).
 BLOCK_MAX_N_Q = 9
-# Most amplitudes (rows x N) that walk_block steps at once: 2**14 complex
-# values are 256 KiB per work array, which stays within a 2 MiB L2 cache.
+# Most amplitudes (rows x N) that walk_block steps at once, and amplitude
+# pairs per slab of the column kernels: 2**14 complex values are 256 KiB per
+# work array, which stays within a 2 MiB L2 cache.
 BLOCK_GROUP = 1 << 14
 # block_step coefficients (d0, d1, o0, o1) of a CNOT.
 _CNOT_COEF = np.array([1, 0, 0, 1], dtype=complex)
@@ -56,21 +58,57 @@ def initial_column(n_q: int) -> StateColumn:
     return StateColumn(n_q=n_q, amplitudes=amps)
 
 
+def _slabs(view: np.ndarray, size: int):
+    """Yield ``view`` cut into equal pieces of at most ``size`` elements, in
+    C order: runs of whole leading rows where one row fits, else the pieces
+    of each row (all sizes are powers of two)."""
+    if view.size <= size:
+        yield view
+    elif view[0].size <= size:
+        step = size // view[0].size
+        for lo in range(0, len(view), step):
+            yield view[lo:lo + step]
+    else:
+        for row in view:
+            yield from _slabs(row, size)
+
+
 def apply_single_qubit(state: StateColumn, q: int, m: np.ndarray) -> StateColumn:
     """Apply a 2x2 matrix on qubit q, in place.
 
     Each new amplitude is a linear combination of the pair that differs in
-    bit q only.
+    bit q only. The column, viewed as (rows, 2, 2**q), is walked in slabs of
+    ``BLOCK_GROUP`` pairs through three slab-sized scratch buffers allocated
+    once per call: contiguous pieces where 2**q spans a slab, (rows, 2**q)
+    views otherwise, and for q < 3 one strided 1-D view per low offset j
+    (numpy runs a 2-D view's inner loop once per row of 2**q elements). A
+    column of one slab gets one pass per ufunc.
+
+    Per slab, c = m00 a0 + m01 a1 and a1 = m10 a0 + m11 a1, then a0 = c: the
+    products and sums of ``block_step``, so both give the same bits. Two
+    rules keep them: the scalar goes first (``a * m`` can differ from
+    ``m * a`` in the last bit), and no product is written into one of its
+    inputs (an in-place product can differ too), hence the third buffer.
     """
     if not 0 <= q < state.n_q:
         raise IndexError(f"qubit {q} out of range for n_q={state.n_q}")
+    m00, m01, m10, m11 = m.ravel().tolist()
+    slab = BLOCK_GROUP
     a = state.amplitudes.reshape(-1, 2, 1 << q)
-    a0 = a[:, 0, :]
-    a1 = a[:, 1, :]
-    new0 = m[0, 0] * a0 + m[0, 1] * a1
-    new1 = m[1, 0] * a0 + m[1, 1] * a1
-    a[:, 0, :] = new0
-    a[:, 1, :] = new1
+    if q < 3 and a.shape[0] << q > slab:
+        a = a.reshape(-1, slab >> q, 2, 1 << q).transpose(0, 3, 2, 1)
+        slab >>= q
+    a0, a1 = a[..., 0, :], a[..., 1, :]
+    scratch = np.empty((3, *next(_slabs(a0, slab)).shape), dtype=complex)
+    b, c, d = scratch[0], scratch[1], scratch[2]
+    for x0, x1 in zip(_slabs(a0, slab), _slabs(a1, slab)):
+        np.multiply(m00, x0, c)
+        np.multiply(m01, x1, b)
+        c += b
+        np.multiply(m10, x0, b)
+        np.multiply(m11, x1, d)
+        np.add(b, d, x1)
+        x0[...] = c
     return state
 
 
@@ -79,8 +117,9 @@ def apply_cnot(state: StateColumn, c: int, t: int) -> StateColumn:
 
     The column is viewed as (high bits, bit hi, middle bits, bit lo, low
     bits) with hi/lo the larger/smaller of c and t; the control-bit-1 slice
-    is reversed along the target axis. The only extra memory is numpy's
-    temporary copy of that slice, half the column.
+    is reversed along the target axis one slab of ``2 * BLOCK_GROUP``
+    amplitudes at a time, so numpy's temporary copy of the source is one
+    slab, not half the column.
     """
     if c == t:
         raise ValueError("CNOT control and target must differ")
@@ -88,10 +127,10 @@ def apply_cnot(state: StateColumn, c: int, t: int) -> StateColumn:
         raise IndexError("CNOT qubit index out of range")
     lo, hi = (t, c) if c > t else (c, t)
     a = state.amplitudes.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    if c > t:
-        a[:, 1] = a[:, 1, :, ::-1]
-    else:
-        a[:, :, :, 1] = a[:, ::-1, :, 1]
+    # The control-bit-1 slice, target axis last so that a slab holds whole pairs.
+    z = a[:, 1].transpose(0, 1, 3, 2) if c > t else a[:, :, :, 1].transpose(0, 2, 3, 1)
+    for p in _slabs(z, 2 * BLOCK_GROUP):
+        p[...] = p[..., ::-1]
     return state
 
 
@@ -150,7 +189,7 @@ def walk_block(tape: GateTape, checkpoints):
 
 def walk_columns(tape: GateTape, checkpoints):
     """Advance the realizations of ``tape`` one after another through the
-    in-place view kernels, yielding (checkpoint index, live (1, N) view of
+    in-place slab kernels, yielding (checkpoint index, live (1, N) view of
     the one column held)."""
     m = tape.matrices()
     for r in range(tape.is_u2.shape[0]):

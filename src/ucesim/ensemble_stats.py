@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .column_sim import StateColumn
+from .column_sim import BLOCK_GROUP, StateColumn
 from .cue_ref import cue_bin_mass, cue_correlator, cue_moment
 
 DEFAULT_BIN_COUNT = 200
@@ -137,15 +137,37 @@ class Histogram:
 
     def bin_counts(self, values) -> np.ndarray:
         """Counts vector (underflow + bins) for a batch of any shape; does
-        not mutate."""
+        not mutate.
+
+        Index k counts the edges <= v: 0 is underflow, k in 1..bin_count is
+        [edges[k-1], edges[k]), and v >= ln N joins the last bin. The values
+        go in pieces of ``BLOCK_GROUP``, so no full-size index array is held.
+        Each piece is binned arithmetically, k = floor(g) with g = 1 + (v -
+        l_min) / bin width clipped to [1/2, bin_count + 1/2]; the few values
+        with g within ``_EDGE_TOL`` of an integer, which rounding could put on
+        the wrong side of an edge, are re-binned exactly against ``edges``.
+        A value above ln N + ``_EDGE_TOL``, or a NaN, raises ValueError.
+        """
         v = np.asarray(values, dtype=float).ravel()
-        if (v > self.ln_n + _EDGE_TOL).any():
-            raise ValueError("log-intensity above ln N: normalization bug")
-        # Index k counts the edges <= v: 0 is underflow, k in 1..bin_count
-        # is [edges[k-1], edges[k]), and v >= ln N joins the last bin.
-        idx = np.searchsorted(self.edges, v, "right")
-        return np.bincount(np.minimum(idx, self.bin_count),
-                           minlength=self.bin_count + 1)
+        counts = np.zeros(self.bin_count + 1, dtype=np.int64)
+        scale = self.bin_count / (self.ln_n - self.l_min)
+        shift = 1.0 - self.l_min * scale
+        for lo in range(0, v.size, BLOCK_GROUP):
+            piece = v[lo:lo + BLOCK_GROUP]
+            if not piece.max() <= self.ln_n + _EDGE_TOL:
+                raise ValueError("log-intensity above ln N or NaN: normalization bug")
+            g = piece * scale
+            g += shift
+            np.maximum(g, 0.5, out=g)  # clip, without np.clip's call overhead
+            np.minimum(g, self.bin_count + 0.5, out=g)
+            k = np.floor(g)
+            g -= k
+            idx = k.astype(np.intp)
+            near = np.flatnonzero(np.abs(g - 0.5) > 0.5 - _EDGE_TOL)
+            if near.size:
+                idx[near] = np.searchsorted(self.edges, piece[near], "right")
+            counts += np.bincount(idx, minlength=self.bin_count + 1)
+        return counts
 
     def add(self, values) -> "Histogram":
         v = np.asarray(values, dtype=float)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ucesim.column_sim import (
+    BLOCK_GROUP,
     BLOCK_MAX_N_Q,
     StateColumn,
     apply_cnot,
@@ -115,6 +117,60 @@ def test_apply_cnot_rejects_equal_qubits():
         apply_cnot(initial_column(2), 1, 1)
 
 
+def random_column(n_q, rng):
+    return StateColumn(n_q, rng.standard_normal(1 << n_q) + 1j * rng.standard_normal(1 << n_q))
+
+
+# Columns of one slab and of four: the kernels walk BLOCK_GROUP pairs per slab.
+SLAB_N_Q = (15, BLOCK_GROUP.bit_length() + 2)
+
+
+def test_apply_single_qubit_equals_out_of_place_formula_across_slabs():
+    # Every q: contiguous pieces, (rows, 2**q) views and strided 1-D views.
+    rng = np.random.default_rng(21)
+    for n_q in SLAB_N_Q:
+        for q in range(n_q):
+            state = random_column(n_q, rng)
+            m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            a = state.amplitudes.reshape(-1, 2, 1 << q)
+            a0, a1 = a[:, 0].copy(), a[:, 1].copy()
+            new0 = m[0, 0] * a0 + m[0, 1] * a1
+            new1 = m[1, 0] * a0 + m[1, 1] * a1
+            apply_single_qubit(state, q, m)
+            assert np.array_equal(a[:, 0], new0), (n_q, q)
+            assert np.array_equal(a[:, 1], new1), (n_q, q)
+
+
+def test_apply_cnot_equals_index_permutation_across_slabs():
+    rng = np.random.default_rng(22)
+    for n_q in SLAB_N_Q:
+        index = np.arange(1 << n_q)
+        for c, t in [(0, n_q - 1), (n_q - 1, 0), (1, 2), (2, 1), (0, 1), (n_q - 2, n_q - 1),
+                     (n_q // 2, 3), (3, n_q // 2)]:
+            state = random_column(n_q, rng)
+            source = np.where((index >> c) & 1, index ^ (1 << t), index)
+            expected = state.amplitudes[source]
+            apply_cnot(state, c, t)
+            assert np.array_equal(state.amplitudes, expected), (n_q, c, t)
+
+
+def test_one_gate_at_n_q_22_allocates_under_one_mib():
+    # The kernels work in place through slab-sized buffers.
+    rng = np.random.default_rng(23)
+    state = random_column(22, rng)
+    m = u2_matrix((*(rng.random(3) * 2 * math.pi), rng.random() * math.pi / 2))
+    gates = [(apply_single_qubit, q, m) for q in (0, 2, 3, 11, 21)]
+    gates += [(apply_cnot, c, t) for c, t in ((0, 21), (21, 0), (1, 2), (2, 1))]
+    for kernel, *args in gates:
+        tracemalloc.start()
+        try:
+            kernel(state, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (kernel.__name__, args[0], peak)
+
+
 def test_simulate_empty_circuit():
     circuit = sample_circuit(0, 0, 3, 0)
     (snap,) = simulate_first_column(circuit, [0])
@@ -210,6 +266,17 @@ def test_block_step_equals_view_kernels_and_dense_oracle():
                     circuit = Circuit(row, master_seed=n_q, realization_index=r)
                     oracle = dense_unitary_oracle(circuit)[:, 0]
                     assert np.max(np.abs(block[r] - oracle)) < 1e-12, (n_q, rows, r)
+
+
+def test_walk_columns_equals_walk_block_above_the_crossover():
+    n_q = BLOCK_MAX_N_Q + 1
+    tape = draw_tape([realization_rng(n_q, r) for r in range(3)], n_q, 80)
+    cps = [5, 40, 80]
+    blocks = {k: b.copy() for k, b in walk_block(tape, cps)}
+    columns = [(k, b[0].copy()) for k, b in walk_columns(tape, cps)]
+    assert len(columns) == 3 * len(cps)
+    for i, (k, column) in enumerate(columns):
+        assert np.array_equal(column, blocks[k][i // len(cps)]), (i, k)
 
 
 def test_simulate_matches_dense_oracle():

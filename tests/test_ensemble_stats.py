@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ucesim.column_sim import StateColumn, initial_column, simulate_first_column
+from ucesim.column_sim import BLOCK_GROUP, StateColumn, initial_column, simulate_first_column
 from ucesim.cue_ref import cue_correlator, cue_moment, sample_haar_first_column
 from ucesim.ensemble_stats import (
     Histogram,
@@ -79,14 +79,19 @@ def test_histogram_accumulate_basics():
 
 
 def test_histogram_bin_counts_edge_cases_match_np_histogram():
-    for n, l_min, bins in ((2, None, 200), (16, None, 200), (16, -3.0, 7), (1024, None, 50)):
+    # More than two pieces of BLOCK_GROUP values, shuffled so that edges and
+    # their neighbours fall in every piece.
+    for n, l_min, bins in ((2, None, 200), (16, None, 200), (16, -3.0, 7), (1024, None, 50),
+                           (1 << 20, None, 200)):
         hist = Histogram(n, l_min=l_min, bin_count=bins)
         e = hist.edges
+        rng = np.random.default_rng(n)
         values = np.concatenate([
             [-math.inf, hist.l_min - 5.0, hist.ln_n + 1e-10],
             e, np.nextafter(e, -math.inf), np.nextafter(e, math.inf),
-            np.random.default_rng(n).uniform(hist.l_min - 1.0, hist.ln_n, 1000),
+            rng.uniform(hist.l_min - 1.0, hist.ln_n, 2 * BLOCK_GROUP),
         ])
+        rng.shuffle(values)
         # Reference: underflow below l_min, then np.histogram on [l_min, ln N]
         # with values just above ln N (within tolerance) clipped into the last bin.
         v = np.minimum(values, hist.ln_n)
@@ -102,6 +107,12 @@ def test_histogram_bin_counts_edge_cases_match_np_histogram():
 def test_histogram_rejects_values_above_ln_n():
     with pytest.raises(ValueError):
         Histogram(16).add([math.log(16) + 1e-3])
+
+
+def test_histogram_rejects_nan():
+    for values in ([math.nan], np.r_[np.zeros(BLOCK_GROUP + 5), math.nan]):
+        with pytest.raises(ValueError, match="NaN"):
+            Histogram(16).bin_counts(values)
 
 
 def test_histogram_cue_masses_sum_to_one():
