@@ -30,7 +30,7 @@ from .ensemble_stats import (
     ConvergenceCurve,
     StatisticKind,
     correlator_estimate,
-    intensities,
+    mean_over_states,
     moment_estimate,
 )
 from .gateset import MAX_N_Q, STREAM_VERSION, EnsembleConfig, circuit_to_text, sample_circuit
@@ -352,7 +352,7 @@ def cmd_oracle_check(args) -> int:
             ok = abs(est - ref) < 1e-12
         else:
             stat = StatisticKind.parse(label)
-            means = [stat.state_sum(intensities(s)) / stat.terms(N) for s in states]
+            means = [mean_over_states([s], stat) for s in states]
             ok = abs(est - ref) < 5 * float(np.std(means)) / math.sqrt(len(states))
         failures += not ok
         print(f"haar {label} est={est:.6f} ref={ref:.6f} {'ok' if ok else 'FAIL'}")

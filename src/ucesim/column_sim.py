@@ -166,23 +166,30 @@ def walk_block(tape: GateTape, checkpoints):
     bit = np.arange(n_q)[:, None]
     upper = ((index >> bit) & 1).astype(bool)  # upper[s, i]: bit s of i
     flipped = index ^ (1 << bit)               # flipped[t, i] = i ^ (1 << t)
-    # (d0, d1, o0, o1) = (m00, m11, m01, m10) of each gate, shaped (n_g, 4, R, 1)
-    coef = tape.matrices().reshape(rows, tape.n_g, 4)[..., [0, 3, 1, 2]]
-    coef[~tape.is_u2] = _CNOT_COEF
-    coef = coef.transpose(1, 2, 0)[..., None]
     sel, part = tape.qubit.T, tape.target.T
     amps = np.zeros((rows, 1 << n_q), dtype=complex)
     amps[:, 0] = 1.0
     group = max(1, BLOCK_GROUP >> n_q)
     offsets = np.arange(min(group, rows))[:, None] << n_q
-    done = 0
+    # coef: (d0, d1, o0, o1) = (m00, m11, m01, m10) of gates [base, top),
+    # shaped (top - base, 4, R, 1). It is rebuilt when a segment runs past
+    # top, for that segment and at least ``span`` gates (BLOCK_GROUP complex
+    # values, 256 KiB), not for the whole tape.
+    span = max(1, BLOCK_GROUP // (4 * rows))
+    done = base = top = 0
     for k, cp in enumerate(checkpoints):
+        if cp > top:
+            base, top = done, min(tape.n_g, max(cp, done + span))
+            gates = np.s_[:, base:top]
+            coef = tape.matrices(gates).reshape(rows, -1, 4)[..., [0, 3, 1, 2]]
+            coef[~tape.is_u2[gates]] = _CNOT_COEF
+            coef = coef.transpose(1, 2, 0)[..., None]
         for lo in range(0, rows, group):
             rs = slice(lo, lo + group)
             block = amps[rs]
             for g in range(done, cp):
                 block_step(block, upper[sel[g, rs]],
-                           flipped[part[g, rs]] + offsets[:len(block)], coef[g, :, rs])
+                           flipped[part[g, rs]] + offsets[:len(block)], coef[g - base, :, rs])
         done = cp
         yield k, amps
 
@@ -190,11 +197,10 @@ def walk_block(tape: GateTape, checkpoints):
 def walk_columns(tape: GateTape, checkpoints):
     """Advance the realizations of ``tape`` one after another through the
     in-place slab kernels, yielding (checkpoint index, live (1, N) view of
-    the one column held)."""
-    m = tape.matrices()
+    the one column held). U(2) matrices are built per realization."""
     for r in range(tape.is_u2.shape[0]):
         rows = zip(tape.is_u2[r].tolist(), tape.qubit[r].tolist(),
-                   tape.target[r].tolist(), m[r])
+                   tape.target[r].tolist(), tape.matrices(r))
         state = initial_column(tape.n_q)
         done = 0
         for k, cp in enumerate(checkpoints):

@@ -4,9 +4,11 @@ Statistics are gathered over both circuit realizations and the elements of
 the first column: the binned log-intensity distribution, moments of
 y = N |U_i1|^2 up to order 8, and non-overlapping same-column intensity
 correlators. Distances are a Hellinger-type histogram distance (bounded by
-2) and relative deviations for moments/correlators. A scalar statistic's
-per-state sum is one number per column, and ``StatisticKind.terms`` counts
-its terms.
+2) and relative deviations for moments/correlators. ``fold_block`` is the one
+estimator: the runner and the reference means fold columns through it, in
+pieces of at most ``BLOCK_GROUP`` amplitudes. A scalar statistic's sum over
+a column is one number, the ``math.fsum`` of its sums over the pieces, and
+``StatisticKind.terms`` counts its terms.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from .cue_ref import cue_bin_mass, cue_correlator, cue_moment
 DEFAULT_BIN_COUNT = 200
 DEFAULT_L_MARGIN = 30.0  # l_min = ln N - margin
 _EDGE_TOL = 1e-9
+# Piece of a row longer than BLOCK_GROUP: the largest multiple of 840 =
+# lcm(1..8) within it, so that no c{k} block crosses a piece boundary.
+ROW_PIECE = BLOCK_GROUP // 840 * 840
 
 
 @dataclass(frozen=True)
@@ -91,19 +96,23 @@ class StatisticKind:
             return N // self.k
         return N if self.kind == "mu" else 1
 
-    def state_sum(self, y: np.ndarray):
+    def state_sum(self, y: np.ndarray, lo: int = 0):
         """Sum of this scalar statistic's terms over one column's intensities
-        y, or the R row sums of an (R, N) block; ``terms`` counts them.
+        y, or the R row sums of an (R, N) block; ``terms`` counts them. With
+        ``lo``, y holds elements lo, lo + 1, ... of each column, and the sum
+        is over the terms that lie there (0 if none).
 
         mu{k} sums y^k over the column and mu{k}x{row} probes one element.
         c{k} splits the column into floor(N/k) blocks of k consecutive
         elements and sums their products; leftovers are unused so no element
-        enters two products.
+        enters two products. A piece that starts at a multiple of k holds
+        whole blocks, and its leftovers are the column's.
         """
         if self.kind == "mu":
             return (y ** self.k).sum(axis=-1)
         if self.kind == "mufix":
-            return y[..., self.row] ** self.k
+            i = self.row - lo
+            return y[..., i] ** self.k if 0 <= i < y.shape[-1] else np.zeros(y.shape[:-1])
         if self.kind == "c":
             nb, k = self.terms(y.shape[-1]), self.k
             return y[..., : nb * k].reshape(*y.shape[:-1], nb, k).prod(axis=-1).sum(axis=-1)
@@ -195,7 +204,7 @@ class Histogram:
 def log_intensities(state: StateColumn) -> np.ndarray:
     """l_i = ln(N |a_i|^2); exact zeros map to -inf."""
     with np.errstate(divide="ignore"):
-        return np.log(intensities(state))
+        return np.log(intensities(state.amplitudes, 1 << state.n_q))
 
 
 def hellinger_distance(hist: Histogram) -> float:
@@ -205,21 +214,64 @@ def hellinger_distance(hist: Histogram) -> float:
     return float(2.0 * (1.0 - np.sum(np.sqrt(p_emp * p_ref))))
 
 
-def intensities(state) -> np.ndarray:
-    """y_i = N |a_i|^2 of a StateColumn, or of each row of an (R, N) block."""
-    a = state.amplitudes if isinstance(state, StateColumn) else state
-    return a.shape[-1] * np.abs(a) ** 2
+def intensities(a: np.ndarray, n: int) -> np.ndarray:
+    """y_i = n |a_i|^2 of amplitudes a of columns of length n: one column, an
+    (R, n) block or a piece of either. n is not read from a's shape, so a
+    piece is scaled like its column."""
+    return n * np.abs(a) ** 2
 
 
-def _mean_over_states(states, stat: StatisticKind) -> float:
+def fold_block(stats, block: np.ndarray, fold: dict) -> dict:
+    """Add an (R, N) block of columns to ``fold``, {label: accumulator}: a
+    Histogram for pl, and for each scalar statistic a list that gains the
+    column's sum, one float per column.
+
+    The block goes in pieces of at most ``BLOCK_GROUP`` amplitudes, so no
+    temporary scales with N: runs of whole rows where a row fits, else runs
+    of ``ROW_PIECE`` amplitudes of one row, and then a column's sum is the
+    ``math.fsum`` of its piece sums.
+    """
+    rows, n = block.shape
+    if n <= BLOCK_GROUP:
+        step = BLOCK_GROUP // n
+        for r in range(0, rows, step):
+            _fold_piece(stats, block[r:r + step], 0, n, fold)
+        return fold
+    for row in block:
+        parts = {s.label: [] for s in stats if s.kind != "pl"}
+        for lo in range(0, n, ROW_PIECE):
+            # pl bins into fold's Histogram; a scalar's piece sums go to parts.
+            _fold_piece(stats, row[None, lo:lo + ROW_PIECE], lo, n, fold | parts)
+        for label, p in parts.items():
+            fold[label].append(math.fsum(p))
+    return fold
+
+
+def _fold_piece(stats, a: np.ndarray, lo: int, n: int, fold: dict):
+    """Fold columns lo, lo + 1, ... of some rows of an (R, n) block: y = n |a|^2
+    is made once for every statistic; pl bins log y, and a scalar statistic
+    appends its ``state_sum`` over each row of the piece."""
+    y = intensities(a, n)
+    for s in stats:
+        if s.kind == "pl":
+            with np.errstate(divide="ignore"):
+                fold[s.label].add(np.log(y))
+        else:
+            fold[s.label].extend(s.state_sum(y, lo).tolist())
+
+
+def mean_over_states(states, stat: StatisticKind) -> float:
     """The reference mean of a scalar statistic over columns of one length N:
-    the fsum of the per-state sums divided by terms(N) * states."""
-    ys = [intensities(s) for s in states]
-    if not ys:
+    the fsum of their ``fold_block`` sums over terms(N) * states."""
+    states = list(states)
+    if not states:
         raise ValueError("empty state stream")
-    n = ys[0].shape[-1]
+    n = states[0].amplitudes.size
     stat.check_column(n)
-    return math.fsum(stat.state_sum(y) for y in ys) / (stat.terms(n) * len(ys))
+    sums = []
+    for s in states:
+        fold_block([stat], s.amplitudes[None], {stat.label: sums})
+    return math.fsum(sums) / (stat.terms(n) * len(states))
 
 
 def moment_estimate(states, k: int, row: int | None = None) -> float:
@@ -227,13 +279,13 @@ def moment_estimate(states, k: int, row: int | None = None) -> float:
 
     With ``row`` given, only that element is probed (no column average).
     """
-    return _mean_over_states(states, StatisticKind("mu", k) if row is None
-                             else StatisticKind("mufix", k, row))
+    return mean_over_states(states, StatisticKind("mu", k) if row is None
+                            else StatisticKind("mufix", k, row))
 
 
 def correlator_estimate(states, k: int) -> float:
     """Mean product of y over consecutive disjoint k-element blocks."""
-    return _mean_over_states(states, StatisticKind("c", k))
+    return mean_over_states(states, StatisticKind("c", k))
 
 
 def relative_deviation(estimate: float, reference: float) -> float:

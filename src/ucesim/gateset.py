@@ -135,10 +135,13 @@ class GateTape:
     def n_g(self) -> int:
         return self.is_u2.shape[1]
 
-    def matrices(self) -> np.ndarray:
-        """(R, n_g, 2, 2) U(2) matrices; zero on CNOT rows."""
-        m = np.zeros(self.is_u2.shape + (2, 2), dtype=complex)
-        m[self.is_u2] = u2_matrices(*self.angles[self.is_u2].T)
+    def matrices(self, index=np.s_[:, :]) -> np.ndarray:
+        """(R, n_g, 2, 2) U(2) matrices, or those of the gates ``index``
+        selects from the (R, n_g) grid; zero on CNOT rows. A gate's matrix
+        does not depend on which others are built with it."""
+        is_u2 = self.is_u2[index]
+        m = np.zeros(is_u2.shape + (2, 2), dtype=complex)
+        m[is_u2] = u2_matrices(*self.angles[index][is_u2].T)
         return m
 
 

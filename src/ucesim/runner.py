@@ -2,9 +2,9 @@
 
 Realizations are partitioned into fixed-size chunks regardless of the worker
 count. A chunk draws one gate tape row per realization and folds the blocks
-of columns that ``iter_checkpoints`` yields into one ``Histogram`` per
-checkpoint for pl and, per checkpoint and scalar statistic, the
-``math.fsum`` of the per-state sums: one float per column, whose term count
+of columns that ``iter_checkpoints`` yields (``fold_block``) into one
+``Histogram`` per checkpoint for pl and, per checkpoint and scalar
+statistic, the ``math.fsum`` of the per-column sums, whose term count
 ``StatisticKind.terms`` fixes. ``run_ensemble`` adds the chunks' integer bin
 counts, takes one more ``fsum`` over the chunk sums and divides it by
 terms(N) * n_r. Integer counts and correctly rounded sums do not depend on the
@@ -17,15 +17,13 @@ from __future__ import annotations
 import math
 import multiprocessing
 
-import numpy as np
-
 from .column_sim import iter_checkpoints
 from .ensemble_stats import (
     ConvergenceCurve,
     Histogram,
     StatisticKind,
+    fold_block,
     hellinger_distance,
-    intensities,
     relative_deviation,
 )
 from .gateset import EnsembleConfig, draw_tape, realization_rng
@@ -34,16 +32,6 @@ CHUNK_SIZE = 64
 GRID_START = 2
 GRID_RATIO = math.sqrt(2.0)
 GRID_MAX_MULT = 40
-
-
-def _fold_block(stats, block, fold: dict):
-    """Add an (r, N) block of columns to a checkpoint's {label: accumulator}."""
-    y = intensities(block)
-    for s in stats:
-        if s.kind == "pl":
-            fold[s.label].add(np.log(y))
-        else:
-            fold[s.label].extend(s.state_sum(y).tolist())
 
 
 def _run_chunk(args) -> list:
@@ -55,9 +43,8 @@ def _run_chunk(args) -> list:
              for _ in config.checkpoints]
     rngs = (realization_rng(config.master_seed, r) for r in range(start, stop))
     tape = draw_tape(rngs, config.n_q, config.max_gates, config.p_g)
-    with np.errstate(divide="ignore"):
-        for k, block in iter_checkpoints(tape, config.checkpoints):
-            _fold_block(stats, block, folds[k])
+    for k, block in iter_checkpoints(tape, config.checkpoints):
+        fold_block(stats, block, folds[k])
     for fold in folds:
         for s in stats:
             if s.kind != "pl":

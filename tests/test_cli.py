@@ -367,6 +367,58 @@ def test_dump_circuit_bytes_are_pinned(capsys):
         "598ca1f11702b3076cef14b1844922cd0a60c4fac8efe378bb0c889a6e85e683")
 
 
+# sha256 of each file that GOLDEN_ARGV writes; the manifest's numpy and
+# Python versions are masked, since they name the machine, not the run.
+GOLDEN_ARGV = ["converge", "--nq", "2,3,5,9,10,11", "--statistics", "pl,mu2,c3,mu4x1",
+               "--sizing", "3,9", "--seed", "7"]
+GOLDEN_SHA256 = {
+    "curve_nq2_pl.csv": "73f6d4e9aaa47d368918e1fdc8c81ebc129d215d70ae37a969a56bb6a1833dcd",
+    "curve_nq2_mu2.csv": "db048142277d83aba366320f4ee6d462434ab1917e97b0ce602d6087e5903f8d",
+    "curve_nq2_c3.csv": "7e19f94565cba5e1c2950cc4359a451a8987527e850c2e35b3f1de485b730704",
+    "curve_nq2_mu4x1.csv": "bb0128fa94f27a764b0e1e677d50767dbb36785915967b575b04d61d9e05ad70",
+    "curve_nq3_pl.csv": "d6d1ae21e253aca51d5e6533a95303ab2219d4a2314217138878e5a88960b892",
+    "curve_nq3_mu2.csv": "7e47dea5f79c2cdf460b219dfb8ec7369fc705441a32cf99984cf108db7fd3ac",
+    "curve_nq3_c3.csv": "39e5e8fbef247d12efbe4bd2bde082df88c4a4fbff8589020149337c1304fc32",
+    "curve_nq3_mu4x1.csv": "8bc5b077841dff71e9611c641ed5b949362ee10f33b1cee7718b86469c69b31a",
+    "curve_nq5_pl.csv": "dff36dabf98ac2e717844f1dd0ad5a1863d8d50206ef3c8acb82e203b95b1d9d",
+    "curve_nq5_mu2.csv": "5e08207809bd23f81d430b3d18f4b984cfcc9ed9232429648b77f0b2483ad885",
+    "curve_nq5_c3.csv": "e51f8d58113a5f5144837f478d727bb7ae6d686121b6a19def7b06341aa45586",
+    "curve_nq5_mu4x1.csv": "b325e06d3edfcf9f5602ca651be4a3ac90b54be8db4e73021a4084d272db19be",
+    "curve_nq9_pl.csv": "b9b3fe3ed24f61be8ad8e8ef9867b81216ae3d45be41708116db748972576e56",
+    "curve_nq9_mu2.csv": "f86e2104d42b956ad4a5d0b2ddf3558d75854b879b078e298202a251e6a6cafb",
+    "curve_nq9_c3.csv": "753d216f18d8750a1d103e581e6655e2fbb909360f158d9c95ff6eef01f56fab",
+    "curve_nq9_mu4x1.csv": "7490ea5fec8f75a0d98f3a530308d9fe2a17c0c3706a06b4a1f2583b54fc1304",
+    "curve_nq10_pl.csv": "7480949a21feeaf12ae716303626f6ff5e9813e3143af5508dff229c227958b5",
+    "curve_nq10_mu2.csv": "13f7b2ac0711288541b7ba1798f54ad762eb4ae5c1cfd7bbc11e5cd656745273",
+    "curve_nq10_c3.csv": "2322a9da4b9536410f4b757dc6d25d6e231846b5294011a3709f82cdd95bad66",
+    "curve_nq10_mu4x1.csv": "3a91702ade225713229060beac6e6f2100b7ebe4d5a277f246190b6fe78ba7cd",
+    "curve_nq11_pl.csv": "e12e90c4592598b3fcd10417e518b626c3db984e4652efef9047a3e923e0dfd4",
+    "curve_nq11_mu2.csv": "dfc048233ec83d1c4f47829379c2098738b12efb96bb0aa31d5b10fa1a2eb88b",
+    "curve_nq11_c3.csv": "652ec38ea6dae59c04e8ee696e17899e732608ab844db48a06f177ae9ab22e2a",
+    "curve_nq11_mu4x1.csv": "46758b99f756ce662c49fefb8b9a79df6bef6aea01623a8a501a5f851e91717d",
+    "manifest.json": "70529d09b9417e904f25bda55b06eb480b27b5146847a1d72c90f4d4c2a4e226",
+}
+
+
+def test_converge_output_bytes_are_pinned(tmp_path):
+    """Every output byte of a small run at n_q <= 14 (block and column walks,
+    several chunks at n_q 2 and 3) is pinned. A change that alters them on
+    purpose updates these digests and says so in CHANGES.md; any other
+    change in them is a regression."""
+    out = str(tmp_path / "run")
+    assert run([*GOLDEN_ARGV, "--out", out]) == 0
+    assert sorted(os.listdir(out)) == sorted(GOLDEN_SHA256)
+    digests = {}
+    for name in GOLDEN_SHA256:
+        data = read(os.path.join(out, name)).decode()
+        if name == "manifest.json":
+            versions = json.loads(data)
+            for key in ("numpy_version", "python_version"):
+                data = data.replace(f'"{key}": "{versions[key]}"', f'"{key}": "*"')
+        digests[name] = hashlib.sha256(data.encode()).hexdigest()
+    assert digests == GOLDEN_SHA256
+
+
 def test_dump_circuit_usage_errors(capsys):
     for argv, message in ((["--nq", "0", "--ng", "3"], "--nq must be >= 1"),
                           (["--nq", "2", "--ng", "-1"], "--ng must be >= 0")):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,13 +7,16 @@ import pytest
 from ucesim.column_sim import BLOCK_GROUP, StateColumn, initial_column, simulate_first_column
 from ucesim.cue_ref import cue_correlator, cue_moment, sample_haar_first_column
 from ucesim.ensemble_stats import (
+    ROW_PIECE,
     Histogram,
     ConvergenceCurve,
     StatisticKind,
     correlator_estimate,
+    fold_block,
     hellinger_distance,
     intensities,
     log_intensities,
+    mean_over_states,
     moment_estimate,
     relative_deviation,
     saturation_floor,
@@ -271,7 +275,7 @@ def test_histogram_add_accepts_a_block():
     cols = np.array([sample_haar_first_column(16, rng) for _ in range(9)])
     cols[2, 3] = 0.0  # an exact zero lands in the underflow bin
     with np.errstate(divide="ignore"):
-        block = np.log(intensities(cols))
+        block = np.log(intensities(cols, 16))
     one = Histogram(16).add(block)
     rows = Histogram(16)
     for r in range(9):
@@ -283,7 +287,7 @@ def test_histogram_add_accepts_a_block():
 
 def test_state_sums_of_a_block_equal_per_column_sums():
     rng = np.random.default_rng(13)
-    y = intensities(np.array([sample_haar_first_column(32, rng) for _ in range(7)]))
+    y = intensities(np.array([sample_haar_first_column(32, rng) for _ in range(7)]), 32)
     for label in ("mu1", "mu2", "mu5", "c2", "c3", "c8", "mu3x5"):
         stat = StatisticKind.parse(label)
         sums = stat.state_sum(y)
@@ -354,7 +358,8 @@ def test_run_ensemble_equals_reference_path():
                         hist.add(log_intensities(s))
                     d.append(hellinger_distance(hist))
                     continue
-                chunk_sums = [math.fsum(stat.state_sum(intensities(s)) for s in states[i:i + 64])
+                chunk_sums = [math.fsum(stat.state_sum(intensities(s.amplitudes, n))
+                                        for s in states[i:i + 64])
                               for i in range(0, n_r, 64)]
                 mean = math.fsum(chunk_sums) / (stat.terms(n) * n_r)
                 if n_r <= 64:
@@ -367,3 +372,76 @@ def test_run_ensemble_equals_reference_path():
                                         n_r=n_r, master_seed=11)
             assert curves[label] == expected, (n_q, n_r, label)
             assert curves[label].d_min == saturation_floor(points)
+
+
+def test_run_ensemble_equals_reference_path_on_split_rows():
+    # Above n_q 14 a row is folded in pieces of ROW_PIECE amplitudes, and a
+    # column's sum is the fsum of its piece sums; the runner and the public
+    # estimators still agree exactly. mu2x{N-1} lies in the short last piece.
+    cps = (0, 3, 24)
+    for n_q in (15, 16):
+        n = 1 << n_q
+        stats = ["pl", "mu2", "c3", "c7", f"mu2x{n - 1}"]
+        cfg = EnsembleConfig(n_q=n_q, checkpoints=cps, master_seed=5, n_r=2, sizing=None)
+        curves = run_ensemble(cfg, stats)
+        runs = [simulate_first_column(sample_circuit(5, r, n_q, cps[-1]), cps) for r in range(2)]
+        for label in stats:
+            stat = StatisticKind.parse(label)
+            d = []
+            for states in zip(*runs):
+                if stat.kind == "pl":
+                    hist = Histogram(n)
+                    for s in states:
+                        hist.add(log_intensities(s))
+                    d.append(hellinger_distance(hist))
+                else:
+                    d.append(relative_deviation(mean_over_states(states, stat),
+                                                stat.reference(n)))
+            assert curves[label].points == list(zip(cps, d)), (n_q, label)
+
+        # |a| = 2^-8 makes every y = v = 2^(n_q - 16) exactly, so a column's
+        # sum is terms(N) * v^k: pieces neither drop nor repeat a term.
+        v = 2.0 ** (n_q - 16)
+        scalars = [StatisticKind.parse(label) for label in stats[1:]]
+        fold = fold_block(scalars, np.full((1, n), 2.0 ** -8, dtype=complex),
+                          {s.label: [] for s in scalars})
+        for s in scalars:
+            assert fold[s.label] == [s.terms(n) * v ** s.k], (n_q, s.label)
+
+
+def test_a_piece_of_a_split_row_is_scaled_by_its_column_length():
+    rng = np.random.default_rng(15)
+    n = 1 << 15  # pieces [0, ROW_PIECE), [ROW_PIECE, 2 ROW_PIECE), [2 ROW_PIECE, n)
+    a = sample_haar_first_column(n, rng)
+    piece = slice(ROW_PIECE, 2 * ROW_PIECE)
+    assert np.array_equal(intensities(a[piece], n), n * np.abs(a[piece]) ** 2)
+    stats = [StatisticKind.parse(label) for label in ("pl", "mu1", f"mu3x{n - 1}")]
+    fold = fold_block(stats, a[None], {"pl": Histogram(n), "mu1": [], f"mu3x{n - 1}": []})
+    assert np.array_equal(fold["pl"].counts,
+                          Histogram(n).add(log_intensities(StateColumn(15, a))).counts)
+    assert fold["mu1"] == [pytest.approx(n, rel=1e-12)]
+    assert fold["mu1"] == [math.fsum((n * np.abs(a[lo:lo + ROW_PIECE]) ** 2).sum()
+                                     for lo in range(0, n, ROW_PIECE))]
+    last = n * np.abs(a[2 * ROW_PIECE:]) ** 2  # the short last piece
+    assert fold[f"mu3x{n - 1}"] == (last[-1:] ** 3).tolist()
+
+
+def test_one_fold_allocates_under_1_5_mib_at_any_n_q():
+    # Nothing that fold_block allocates scales with N.
+    rng = np.random.default_rng(14)
+    stats = [StatisticKind.parse(label) for label in ("pl", "mu2", "c3", "mu4x5")]
+    for n_q in (16, 22):
+        n = 1 << n_q
+        block = np.empty((1, n), dtype=complex)
+        block.real = rng.standard_normal(n)
+        block.imag = rng.standard_normal(n)
+        block /= math.sqrt(np.vdot(block, block).real)
+        fold = {s.label: Histogram(n) if s.kind == "pl" else [] for s in stats}
+        tracemalloc.start()
+        try:
+            fold_block(stats, block, fold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * (1 << 20), (n_q, peak)
+        del block

@@ -264,3 +264,9 @@ def test_tape_matrices_are_u2_matrix_and_roundtrip_gates():
                 assert np.array_equal(u2_matrix(tape.angles[r, g]), m[r, g])
             else:
                 assert not m[r, g].any() and not tape.angles[r, g].any()
+    # The walks build matrices per realization or per span of gates: every
+    # part of the grid gets the same bits as the whole tape.
+    tape = draw_tape([realization_rng(3, r) for r in range(64)], 4, 300)
+    m = tape.matrices().view(np.int64)
+    for index in (np.s_[5], np.s_[:, 7:8], np.s_[:, 3:67], np.s_[:, 100:300], np.s_[10:13, 1:250]):
+        assert np.array_equal(tape.matrices(index).view(np.int64), m[index]), index
