@@ -60,9 +60,19 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _parse_float_list(text: str) -> list[float]:
     try:
-        return [float(t) for t in text.split(",") if t.strip()]
+        values = [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise UsageError(f"expected a comma list of numbers, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"expected finite numbers, got {text!r}")
+    return values
+
+
+def _finite_float(text: str) -> float:
+    """float(text), with inf and nan a ValueError."""
+    if math.isfinite(value := float(text)):
+        return value
+    raise ValueError(text)
 
 
 def _load_config_file(path: str) -> dict:
@@ -150,7 +160,7 @@ def _effective_config(args) -> dict:
 
 
 # Curve CSV columns, in file order, and how nstar-fit reads each.
-_CURVE_FIELDS = {"nq": int, "ng": int, "statistic": StatisticKind.parse, "value": float,
+_CURVE_FIELDS = {"nq": int, "ng": int, "statistic": StatisticKind.parse, "value": _finite_float,
                  "n_r": int, "seed": int}
 
 
@@ -253,8 +263,8 @@ def cmd_nstar_fit(args) -> int:
     ln_eps_list = _parse_float_list(args.ln_eps)
     if not ln_eps_list:
         raise UsageError("empty --ln-eps list")
-    if not args.guard > 1:
-        raise UsageError(f"--guard must exceed 1, got {args.guard}")
+    if not 1 < args.guard < math.inf:
+        raise UsageError(f"--guard must exceed 1 and be finite, got {args.guard}")
     curves = read_curves(args.curves)
     out_dir = args.out or os.environ.get("UCESIM_OUT", ".")
     os.makedirs(out_dir, exist_ok=True)

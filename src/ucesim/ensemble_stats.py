@@ -5,10 +5,10 @@ the first column: the binned log-intensity distribution, moments of
 y = N |U_i1|^2 up to order 8, and non-overlapping same-column intensity
 correlators. Distances are a Hellinger-type histogram distance (bounded by
 2) and relative deviations for moments/correlators. ``fold_block`` is the one
-estimator: the runner and the reference means fold columns through it, in
-pieces of at most ``BLOCK_GROUP`` amplitudes. A scalar statistic's sum over
-a column is one number, the ``math.fsum`` of its sums over the pieces, and
-``StatisticKind.terms`` counts its terms.
+estimator, and the one loop that cuts columns into pieces of at most
+``BLOCK_GROUP`` amplitudes; the runner and the reference means hand it
+blocks of columns. A scalar statistic's sum over a column is one number, the
+``math.fsum`` of its sums over the pieces; ``StatisticKind.terms`` counts them.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 from .column_sim import BLOCK_GROUP, StateColumn
 from .cue_ref import cue_bin_mass, cue_correlator, cue_moment
 
-DEFAULT_BIN_COUNT = 200
-DEFAULT_L_MARGIN = 30.0  # l_min = ln N - margin
+BIN_COUNT = 200
+L_MARGIN = 30.0  # l_min = ln N - L_MARGIN
 _EDGE_TOL = 1e-9
 # Piece of a row longer than BLOCK_GROUP: the largest multiple of 840 =
 # lcm(1..8) within it, so that no c{k} block crosses a piece boundary.
@@ -127,21 +127,16 @@ class Histogram:
     exactly over underflow + bins.
     """
 
-    def __init__(self, N: int, l_min: float | None = None,
-                 bin_count: int = DEFAULT_BIN_COUNT):
+    def __init__(self, N: int):
         if N < 2:
             raise ValueError("N must be >= 2")
-        if bin_count < 1:
-            raise ValueError("bin_count must be >= 1")
         self.N = N
         self.ln_n = math.log(N)
-        self.l_min = self.ln_n - DEFAULT_L_MARGIN if l_min is None else float(l_min)
-        if self.l_min >= self.ln_n:
-            raise ValueError("l_min must lie below ln N")
-        self.bin_count = bin_count
-        self.edges = np.linspace(self.l_min, self.ln_n, bin_count + 1)
+        self.l_min = self.ln_n - L_MARGIN
+        self.bin_count = BIN_COUNT
+        self.edges = np.linspace(self.l_min, self.ln_n, self.bin_count + 1)
         # counts[0] is the underflow bin; counts[1:] the regular bins.
-        self.counts = np.zeros(bin_count + 1, dtype=np.int64)
+        self.counts = np.zeros(self.bin_count + 1, dtype=np.int64)
         self.total = 0
 
     def bin_counts(self, values) -> np.ndarray:
@@ -149,34 +144,28 @@ class Histogram:
         not mutate.
 
         Index k counts the edges <= v: 0 is underflow, k in 1..bin_count is
-        [edges[k-1], edges[k]), and v >= ln N joins the last bin. The values
-        go in pieces of ``BLOCK_GROUP``, so no full-size index array is held.
-        Each piece is binned arithmetically, k = floor(g) with g = 1 + (v -
+        [edges[k-1], edges[k]), and v >= ln N joins the last bin. The batch
+        is binned whole and arithmetically, k = floor(g) with g = 1 + (v -
         l_min) / bin width clipped to [1/2, bin_count + 1/2]; the few values
         with g within ``_EDGE_TOL`` of an integer, which rounding could put on
         the wrong side of an edge, are re-binned exactly against ``edges``.
         A value above ln N + ``_EDGE_TOL``, or a NaN, raises ValueError.
         """
         v = np.asarray(values, dtype=float).ravel()
-        counts = np.zeros(self.bin_count + 1, dtype=np.int64)
+        if v.size and not v.max() <= self.ln_n + _EDGE_TOL:
+            raise ValueError("log-intensity above ln N or NaN: normalization bug")
         scale = self.bin_count / (self.ln_n - self.l_min)
-        shift = 1.0 - self.l_min * scale
-        for lo in range(0, v.size, BLOCK_GROUP):
-            piece = v[lo:lo + BLOCK_GROUP]
-            if not piece.max() <= self.ln_n + _EDGE_TOL:
-                raise ValueError("log-intensity above ln N or NaN: normalization bug")
-            g = piece * scale
-            g += shift
-            np.maximum(g, 0.5, out=g)  # clip, without np.clip's call overhead
-            np.minimum(g, self.bin_count + 0.5, out=g)
-            k = np.floor(g)
-            g -= k
-            idx = k.astype(np.intp)
-            near = np.flatnonzero(np.abs(g - 0.5) > 0.5 - _EDGE_TOL)
-            if near.size:
-                idx[near] = np.searchsorted(self.edges, piece[near], "right")
-            counts += np.bincount(idx, minlength=self.bin_count + 1)
-        return counts
+        g = v * scale
+        g += 1.0 - self.l_min * scale
+        np.maximum(g, 0.5, out=g)  # clip, without np.clip's call overhead
+        np.minimum(g, self.bin_count + 0.5, out=g)
+        k = np.floor(g)
+        g -= k
+        idx = k.astype(np.intp)
+        near = np.flatnonzero(np.abs(g - 0.5) > 0.5 - _EDGE_TOL)
+        if near.size:
+            idx[near] = np.searchsorted(self.edges, v[near], "right")
+        return np.bincount(idx, minlength=self.bin_count + 1)
 
     def add(self, values) -> "Histogram":
         v = np.asarray(values, dtype=float)
@@ -184,9 +173,9 @@ class Histogram:
         self.total += v.size
         return self
 
-    def merge_counts(self, counts: np.ndarray, total: int) -> "Histogram":
-        self.counts += counts
-        self.total += int(total)
+    def __iadd__(self, other: "Histogram") -> "Histogram":
+        self.counts += other.counts
+        self.total += other.total
         return self
 
     def empirical_masses(self) -> np.ndarray:
@@ -226,52 +215,52 @@ def fold_block(stats, block: np.ndarray, fold: dict) -> dict:
     Histogram for pl, and for each scalar statistic a list that gains the
     column's sum, one float per column.
 
-    The block goes in pieces of at most ``BLOCK_GROUP`` amplitudes, so no
-    temporary scales with N: runs of whole rows where a row fits, else runs
-    of ``ROW_PIECE`` amplitudes of one row, and then a column's sum is the
-    ``math.fsum`` of its piece sums.
+    The one loop that cuts columns into pieces of at most ``BLOCK_GROUP``
+    amplitudes, so no temporary scales with N: runs of as many whole rows as
+    fit, in one piece N wide, or else one row in pieces of ``ROW_PIECE``.
+    Per piece, y = N |a|^2 serves every statistic: pl bins log y, a scalar
+    statistic takes its ``state_sum`` over each row. A column's sum is its one
+    piece sum, or else the ``math.fsum`` of its piece sums.
     """
     rows, n = block.shape
-    if n <= BLOCK_GROUP:
-        step = BLOCK_GROUP // n
-        for r in range(0, rows, step):
-            _fold_piece(stats, block[r:r + step], 0, n, fold)
-        return fold
-    for row in block:
+    width = n if n <= BLOCK_GROUP else ROW_PIECE
+    step = max(1, BLOCK_GROUP // n)
+    for r in range(0, rows, step):
+        run = block[r:r + step]
         parts = {s.label: [] for s in stats if s.kind != "pl"}
-        for lo in range(0, n, ROW_PIECE):
-            # pl bins into fold's Histogram; a scalar's piece sums go to parts.
-            _fold_piece(stats, row[None, lo:lo + ROW_PIECE], lo, n, fold | parts)
+        for lo in range(0, n, width):
+            y = intensities(run[:, lo:lo + width], n)
+            for s in stats:
+                if s.kind == "pl":
+                    with np.errstate(divide="ignore"):
+                        fold[s.label].add(np.log(y))
+                else:
+                    parts[s.label].append(s.state_sum(y, lo))
         for label, p in parts.items():
-            fold[label].append(math.fsum(p))
+            fold[label].extend(p[0].tolist() if len(p) == 1
+                               else [math.fsum(col) for col in zip(*p)])
     return fold
-
-
-def _fold_piece(stats, a: np.ndarray, lo: int, n: int, fold: dict):
-    """Fold columns lo, lo + 1, ... of some rows of an (R, n) block: y = n |a|^2
-    is made once for every statistic; pl bins log y, and a scalar statistic
-    appends its ``state_sum`` over each row of the piece."""
-    y = intensities(a, n)
-    for s in stats:
-        if s.kind == "pl":
-            with np.errstate(divide="ignore"):
-                fold[s.label].add(np.log(y))
-        else:
-            fold[s.label].extend(s.state_sum(y, lo).tolist())
 
 
 def mean_over_states(states, stat: StatisticKind) -> float:
     """The reference mean of a scalar statistic over columns of one length N:
-    the fsum of their ``fold_block`` sums over terms(N) * states."""
-    states = list(states)
-    if not states:
+    the fsum of their ``fold_block`` sums over terms(N) * states, folded in
+    blocks of up to ``BLOCK_GROUP`` amplitudes like the runner's."""
+    columns = [s.amplitudes for s in states]
+    if not columns:
         raise ValueError("empty state stream")
-    n = states[0].amplitudes.size
+    n = columns[0].size
+    if any(c.size != n for c in columns):
+        raise ValueError("columns of different lengths")
     stat.check_column(n)
     sums = []
-    for s in states:
-        fold_block([stat], s.amplitudes[None], {stat.label: sums})
-    return math.fsum(sums) / (stat.terms(n) * len(states))
+    step = max(1, BLOCK_GROUP // n)
+    for r in range(0, len(columns), step):
+        run = columns[r:r + step]
+        # A lone column is folded in place rather than copied into a block.
+        block = run[0][None] if len(run) == 1 else np.stack(run)
+        fold_block([stat], block, {stat.label: sums})
+    return math.fsum(sums) / (stat.terms(n) * len(columns))
 
 
 def moment_estimate(states, k: int, row: int | None = None) -> float:

@@ -5,11 +5,12 @@ count. A chunk draws one gate tape row per realization and folds the blocks
 of columns that ``iter_checkpoints`` yields (``fold_block``) into one
 ``Histogram`` per checkpoint for pl and, per checkpoint and scalar
 statistic, the ``math.fsum`` of the per-column sums, whose term count
-``StatisticKind.terms`` fixes. ``run_ensemble`` adds the chunks' integer bin
-counts, takes one more ``fsum`` over the chunk sums and divides it by
-terms(N) * n_r. Integer counts and correctly rounded sums do not depend on the
-order in which chunks arrive, so every output bit is the same for 1 or 8
-workers; the fixed chunk size is the only grouping.
+``StatisticKind.terms`` fixes. ``run_ensemble`` merges the chunks with ``+=``
+(a ``Histogram`` adds integer bin counts, a list gains the chunk sum), takes
+one more ``fsum`` over the chunk sums and divides it by terms(N) * n_r.
+Integer counts and correctly rounded sums do not depend on the order in
+which chunks arrive, so every output bit is the same for 1 or 8 workers; the
+fixed chunk size is the only grouping.
 """
 
 from __future__ import annotations
@@ -52,18 +53,15 @@ def _run_chunk(args) -> list:
     return folds
 
 
-def _merge(stats, partials) -> list:
-    """Merge chunk folds in chunk order: bin counts add, chunk sums are
-    collected for one final fsum."""
+def _merge(partials) -> list:
+    """Merge chunk folds in chunk order with ``+=``: a Histogram adds bin
+    counts, a list gains the chunk sums for one final fsum."""
     partials = iter(partials)
     merged = next(partials)
     for folds in partials:
         for fold, part in zip(merged, folds):
-            for s in stats:
-                if s.kind == "pl":
-                    fold[s.label].merge_counts(part[s.label].counts, part[s.label].total)
-                else:
-                    fold[s.label] += part[s.label]
+            for label in fold:
+                fold[label] += part[label]
     return merged
 
 
@@ -83,10 +81,10 @@ def run_ensemble(config: EnsembleConfig, statistics, workers: int = 1) -> dict:
                   for start in range(0, n_r, CHUNK_SIZE)]
 
     if workers <= 1 or len(chunk_args) == 1:
-        folds = _merge(stats, map(_run_chunk, chunk_args))
+        folds = _merge(map(_run_chunk, chunk_args))
     else:
         with multiprocessing.get_context().Pool(workers) as pool:
-            folds = _merge(stats, pool.imap(_run_chunk, chunk_args))
+            folds = _merge(pool.imap(_run_chunk, chunk_args))
 
     curves = {}
     for s in stats:

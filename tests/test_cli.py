@@ -231,7 +231,13 @@ def test_nstar_fit_usage_errors(tmp_path, capsys):
     assert run(["nstar-fit", "x.csv", "--ln-eps", ""]) == 1
     capsys.readouterr()
     for argv, message in ((["--ln-eps=a"], "expected a comma list of numbers, got 'a'"),
-                          (["--ln-eps=-1", "--guard", "0.5"], "--guard must exceed 1")):
+                          (["--ln-eps=inf"], "expected finite numbers, got 'inf'"),
+                          (["--ln-eps=-inf"], "expected finite numbers, got '-inf'"),
+                          (["--ln-eps=nan"], "expected finite numbers, got 'nan'"),
+                          (["--ln-eps=-1,nan"], "expected finite numbers, got '-1,nan'"),
+                          (["--ln-eps=-1", "--guard", "0.5"], "--guard must exceed 1"),
+                          (["--ln-eps=-1", "--guard", "inf"],
+                           "--guard must exceed 1 and be finite, got inf")):
         out = tmp_path / "o"
         assert run(["nstar-fit", "f.csv", *argv, "--out", str(out)]) == 1, argv
         err = capsys.readouterr().err
@@ -242,6 +248,8 @@ def test_nstar_fit_usage_errors(tmp_path, capsys):
             ("nq,ng\n3,1\n", "bad.csv:1: missing column(s) statistic, value, n_r, seed"),
             (header + "3,1,mu2,0.5,40,1\n3,x,mu2,0.5,40,1\n", "bad.csv:3: bad ng 'x'"),
             (header + "3,1,mu2,oops,40,1\n", "bad.csv:2: bad value 'oops'"),
+            (header + "3,1,mu2,0.5,40,1\n3,2,mu2,nan,40,1\n", "bad.csv:3: bad value 'nan'"),
+            (header + "3,1,mu2,-inf,40,1\n", "bad.csv:2: bad value '-inf'"),
             (header + "3,1,foo,0.5,40,1\n", "bad.csv:2: bad statistic 'foo'"),
             (header + "3,1,mu2,0.5,40\n", "bad.csv:2: bad seed None")):
         path = tmp_path / "bad.csv"

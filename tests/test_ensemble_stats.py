@@ -83,11 +83,10 @@ def test_histogram_accumulate_basics():
 
 
 def test_histogram_bin_counts_edge_cases_match_np_histogram():
-    # More than two pieces of BLOCK_GROUP values, shuffled so that edges and
-    # their neighbours fall in every piece.
-    for n, l_min, bins in ((2, None, 200), (16, None, 200), (16, -3.0, 7), (1024, None, 50),
-                           (1 << 20, None, 200)):
-        hist = Histogram(n, l_min=l_min, bin_count=bins)
+    # Every edge and its neighbours among 2 * BLOCK_GROUP uniform values,
+    # shuffled and binned in one call.
+    for n in (2, 16, 1024, 1 << 20):
+        hist = Histogram(n)
         e = hist.edges
         rng = np.random.default_rng(n)
         values = np.concatenate([
@@ -445,3 +444,60 @@ def test_one_fold_allocates_under_1_5_mib_at_any_n_q():
             tracemalloc.stop()
         assert peak < 1.5 * (1 << 20), (n_q, peak)
         del block
+
+
+def test_block_folded_reference_mean_equals_per_column_folds(monkeypatch):
+    # mean_over_states folds its columns in blocks of at most BLOCK_GROUP
+    # amplitudes; its mean must equal, bit for bit, the fsum of fold_block
+    # sums taken one column at a time. 5000 columns of N = 4 run as
+    # 4096 + 904 rows; a column of n_q 15 is cut into three pieces.
+    import ucesim.ensemble_stats as es
+
+    shapes = []  # the shape of every piece that fold_block makes
+
+    def recorded(a, n):
+        shapes.append(a.shape)
+        return intensities(a, n)
+
+    monkeypatch.setattr(es, "intensities", recorded)
+    for n_q, count in ((2, 5000), (15, 3)):
+        n = 1 << n_q
+        states = haar_states(n_q, count, 16 + n_q)
+        block = np.array([s.amplitudes for s in states])
+        if n <= BLOCK_GROUP:
+            runs = [(BLOCK_GROUP // n, n), (count - BLOCK_GROUP // n, n)]
+        else:
+            runs = [(1, ROW_PIECE), (1, ROW_PIECE), (1, n - 2 * ROW_PIECE)] * count
+        for label in ("mu2", "c3", f"mu2x{n - 1}"):
+            stat = StatisticKind.parse(label)
+            sums = []
+            for s in states:
+                fold_block([stat], s.amplitudes[None], {label: sums})
+            assert len(sums) == count, label
+            shapes.clear()
+            assert mean_over_states(states, stat) == math.fsum(sums) / (stat.terms(n) * count)
+            assert shapes == runs, (n_q, label)
+            shapes.clear()  # fold_block cuts a whole block the same way
+            assert fold_block([stat], block, {label: []})[label] == sums, (n_q, label)
+            assert shapes == runs, (n_q, label)
+
+
+def test_reference_mean_rejects_columns_of_different_lengths():
+    ones = [StateColumn(2, np.full(4, 0.5, dtype=complex)),
+            StateColumn(3, np.full(8, 1 / math.sqrt(8), dtype=complex))]  # every y = 1
+    assert moment_estimate(ones[:1], 2) == 1.0
+    for estimate in (lambda s: moment_estimate(s, 2), lambda s: correlator_estimate(s, 2)):
+        for states in (ones, ones[::-1]):
+            with pytest.raises(ValueError, match="different lengths"):
+                estimate(states)
+
+
+def test_histograms_merge_with_iadd():
+    rng = np.random.default_rng(17)
+    with np.errstate(divide="ignore"):
+        a, b = (np.log(intensities(np.array([sample_haar_first_column(16, rng)
+                                              for _ in range(5)]), 16)) for _ in range(2))
+    merged = Histogram(16).add(a)
+    merged += Histogram(16).add(b)
+    both = Histogram(16).add(np.concatenate([a, b]))
+    assert np.array_equal(merged.counts, both.counts) and merged.total == both.total == 160
