@@ -24,15 +24,9 @@ from collections import defaultdict
 import numpy as np
 
 from . import __version__
-from .column_sim import StateColumn, dense_unitary_oracle, walk_block, walk_columns
-from .cue_ref import cue_correlator, cue_moment, sample_haar_first_column
-from .ensemble_stats import (
-    ConvergenceCurve,
-    StatisticKind,
-    correlator_estimate,
-    mean_over_states,
-    moment_estimate,
-)
+from .column_sim import dense_unitary_oracle, walk_block, walk_columns
+from .cue_ref import sample_haar_first_column
+from .ensemble_stats import ConvergenceCurve, StatisticKind, fold_block
 from .gateset import MAX_N_Q, STREAM_VERSION, EnsembleConfig, circuit_to_text, sample_circuit
 from .runner import geometric_checkpoints, run_ensemble
 from .scaling import MODELS, NStarPoint, fit_model, n_star
@@ -349,23 +343,23 @@ def cmd_oracle_check(args) -> int:
             print(f"oracle {name} nq={nq} trial={trial} err={err:.3e} "
                   f"{'ok' if ok else 'FAIL'}")
 
-    # Estimators against Haar-sampled first columns.
+    # Estimators against Haar-sampled first columns, folded as one block: a
+    # statistic's mean is the fsum of its per-column sums over terms(N) * R.
     rng = np.random.default_rng(args.seed)
     N = 8
-    states = [StateColumn(3, sample_haar_first_column(N, rng)) for _ in range(4000)]
-    for label, est, ref in (
-        ("mu1", moment_estimate(states, 1), cue_moment(1, N)),
-        ("mu2", moment_estimate(states, 2), cue_moment(2, N)),
-        ("c2", correlator_estimate(states, 2), cue_correlator(2, N)),
-    ):
-        if label == "mu1":
+    block = np.array([sample_haar_first_column(N, rng) for _ in range(4000)])
+    stats = [StatisticKind.parse(label) for label in ("mu1", "mu2", "c2")]
+    fold = fold_block(stats, block, {s.label: [] for s in stats})
+    for s in stats:
+        sums = fold[s.label]
+        est, ref = math.fsum(sums) / (s.terms(N) * len(block)), s.reference(N)
+        if s.label == "mu1":
             ok = abs(est - ref) < 1e-12
         else:
-            stat = StatisticKind.parse(label)
-            means = [mean_over_states([s], stat) for s in states]
-            ok = abs(est - ref) < 5 * float(np.std(means)) / math.sqrt(len(states))
+            means = np.array(sums) / s.terms(N)
+            ok = abs(est - ref) < 5 * float(np.std(means)) / math.sqrt(len(block))
         failures += not ok
-        print(f"haar {label} est={est:.6f} ref={ref:.6f} {'ok' if ok else 'FAIL'}")
+        print(f"haar {s.label} est={est:.6f} ref={ref:.6f} {'ok' if ok else 'FAIL'}")
 
     print(f"{'PASS' if failures == 0 else 'FAIL'} ({failures} failure(s))")
     return EXIT_OK if failures == 0 else EXIT_VERIFY

@@ -24,7 +24,7 @@ from .gateset import MAX_N_Q, Circuit, GateTape
 
 # Up to this qubit count a chunk of realizations advances as one (R, N)
 # block; above it the per-column kernels are faster (measured crossover, see
-# ROADMAP).
+# ROADMAP, "Measurements that the code points to").
 BLOCK_MAX_N_Q = 9
 # Most amplitudes (rows x N) that walk_block steps at once, and amplitude
 # pairs per slab of the column kernels: 2**14 complex values are 256 KiB per
@@ -38,9 +38,6 @@ _CNOT_COEF = np.array([1, 0, 0, 1], dtype=complex)
 class StateColumn:
     n_q: int
     amplitudes: np.ndarray
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
 def _check_n_q(n_q: int):

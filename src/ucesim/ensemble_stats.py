@@ -242,39 +242,29 @@ def fold_block(stats, block: np.ndarray, fold: dict) -> dict:
     return fold
 
 
-def mean_over_states(states, stat: StatisticKind) -> float:
-    """The reference mean of a scalar statistic over columns of one length N:
-    the fsum of their ``fold_block`` sums over terms(N) * states, folded in
-    blocks of up to ``BLOCK_GROUP`` amplitudes like the runner's."""
-    columns = [s.amplitudes for s in states]
-    if not columns:
-        raise ValueError("empty state stream")
-    n = columns[0].size
-    if any(c.size != n for c in columns):
-        raise ValueError("columns of different lengths")
+def mean_over_states(block: np.ndarray, stat: StatisticKind) -> float:
+    """The reference mean of a scalar statistic over an (R, N) block of
+    columns: the fsum of their ``fold_block`` sums over terms(N) * R."""
+    if block.ndim != 2 or 0 in block.shape:
+        raise ValueError(f"expected a non-empty (R, N) block, got shape {block.shape}")
+    rows, n = block.shape
     stat.check_column(n)
-    sums = []
-    step = max(1, BLOCK_GROUP // n)
-    for r in range(0, len(columns), step):
-        run = columns[r:r + step]
-        # A lone column is folded in place rather than copied into a block.
-        block = run[0][None] if len(run) == 1 else np.stack(run)
-        fold_block([stat], block, {stat.label: sums})
-    return math.fsum(sums) / (stat.terms(n) * len(columns))
+    sums = fold_block([stat], block, {stat.label: []})[stat.label]
+    return math.fsum(sums) / (stat.terms(n) * rows)
 
 
 def moment_estimate(states, k: int, row: int | None = None) -> float:
-    """Mean of y^k over all column elements and realizations.
-
-    With ``row`` given, only that element is probed (no column average).
-    """
-    return mean_over_states(states, StatisticKind("mu", k) if row is None
+    """Mean of y^k over all elements and realizations of a list of
+    ``StateColumn``s of one length; with ``row`` given, only that element is
+    probed (no column average). A lone column is folded without a copy."""
+    columns = [s.amplitudes for s in states]
+    if not columns:
+        raise ValueError("empty state stream")
+    if any(c.size != columns[0].size for c in columns):
+        raise ValueError("columns of different lengths")
+    block = columns[0][None] if len(columns) == 1 else np.stack(columns)
+    return mean_over_states(block, StatisticKind("mu", k) if row is None
                             else StatisticKind("mufix", k, row))
-
-
-def correlator_estimate(states, k: int) -> float:
-    """Mean product of y over consecutive disjoint k-element blocks."""
-    return mean_over_states(states, StatisticKind("c", k))
 
 
 def relative_deviation(estimate: float, reference: float) -> float:

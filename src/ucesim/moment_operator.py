@@ -40,7 +40,6 @@ _LO_POSITIONS = (1, 3, 5, 7)
 
 @dataclass(frozen=True)
 class GapResult:
-    leading: float
     multiplicity: int
     gap: float
     sample_count: int
@@ -159,9 +158,7 @@ def spectral_gap(g: np.ndarray, sigma: float = 0.0,
     if multiplicity == 0:
         multiplicity = 1  # leading eigenvalue always counted
     if multiplicity >= mags.size:
-        return GapResult(leading=float(mags[0]), multiplicity=multiplicity,
-                         gap=0.0, sample_count=sample_count, sigma=sigma,
-                         degenerate=True)
+        return GapResult(multiplicity=multiplicity, gap=0.0, sample_count=sample_count,
+                         sigma=sigma, degenerate=True)
     gap = 1.0 - float(mags[multiplicity])
-    return GapResult(leading=float(mags[0]), multiplicity=multiplicity,
-                     gap=gap, sample_count=sample_count, sigma=sigma)
+    return GapResult(multiplicity=multiplicity, gap=gap, sample_count=sample_count, sigma=sigma)

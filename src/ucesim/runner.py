@@ -83,7 +83,7 @@ def run_ensemble(config: EnsembleConfig, statistics, workers: int = 1) -> dict:
     if workers <= 1 or len(chunk_args) == 1:
         folds = _merge(map(_run_chunk, chunk_args))
     else:
-        with multiprocessing.get_context().Pool(workers) as pool:
+        with multiprocessing.get_context().Pool(min(workers, len(chunk_args))) as pool:
             folds = _merge(pool.imap(_run_chunk, chunk_args))
 
     curves = {}

@@ -325,6 +325,14 @@ def test_oracle_check_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_oracle_check_haar_estimates_are_pinned(capsys):
+    assert run(["oracle-check", "--trials", "20", "--seed", "0"]) == 0
+    haar = [line for line in capsys.readouterr().out.splitlines() if line.startswith("haar ")]
+    assert haar == ["haar mu1 est=1.000000 ref=1.000000 ok",
+                    "haar mu2 est=1.779259 ref=1.777778 ok",
+                    "haar c2 est=0.885844 ref=0.888889 ok"]
+
+
 def test_oracle_check_detects_injected_fault(monkeypatch, capsys):
     import ucesim.column_sim as cs
     real = cs.apply_cnot

@@ -11,7 +11,6 @@ from ucesim.ensemble_stats import (
     Histogram,
     ConvergenceCurve,
     StatisticKind,
-    correlator_estimate,
     fold_block,
     hellinger_distance,
     intensities,
@@ -200,33 +199,43 @@ def test_estimators_take_the_orders_of_the_statistic_labels():
             lambda: moment_estimate(states, 0),
             lambda: moment_estimate(states, 9),
             lambda: moment_estimate(states, 2, row=16),  # N = 16
-            lambda: correlator_estimate(states, 9)):
+            lambda: mean_over_states(states[0].amplitudes[None], StatisticKind("c", 9))):
         with pytest.raises(ValueError):
             bad()
 
 
 def test_correlator_uniform_and_e0():
     for k in (1, 2, 4):
-        assert correlator_estimate([uniform_state(3)], k) == pytest.approx(1.0)
-    assert correlator_estimate([initial_column(3)], 2) == pytest.approx(0.0)
+        assert mean_over_states(uniform_state(3).amplitudes[None],
+                                StatisticKind("c", k)) == pytest.approx(1.0)
+    assert mean_over_states(initial_column(3).amplitudes[None],
+                            StatisticKind("c", 2)) == pytest.approx(0.0)
 
 
 def test_correlator_equals_moment_at_k1():
     states = haar_states(3, 100, 6)
-    assert correlator_estimate(states, 1) == pytest.approx(moment_estimate(states, 1))
+    block = np.array([s.amplitudes for s in states])
+    assert mean_over_states(block, StatisticKind("c", 1)) == pytest.approx(
+        moment_estimate(states, 1))
 
 
 def test_correlator_against_haar_oracle():
-    states = haar_states(3, 20_000, 7)
-    prods = np.concatenate([
-        (8 * np.abs(s.amplitudes) ** 2).reshape(4, 2).prod(axis=1) for s in states])
+    block = np.array([s.amplitudes for s in haar_states(3, 20_000, 7)])
+    prods = (8 * np.abs(block) ** 2).reshape(-1, 4, 2).prod(axis=2)
     se = prods.std() / math.sqrt(prods.size)
-    assert abs(correlator_estimate(states, 2) - cue_correlator(2, 8)) < 3 * se
+    assert abs(mean_over_states(block, StatisticKind("c", 2)) - cue_correlator(2, 8)) < 3 * se
 
 
 def test_correlator_rejects_k_above_n():
     with pytest.raises(ValueError):
-        correlator_estimate([initial_column(1)], 4)
+        mean_over_states(initial_column(1).amplitudes[None], StatisticKind("c", 4))
+
+
+def test_reference_mean_takes_a_nonempty_block():
+    for bad in (uniform_state(3).amplitudes, np.zeros((0, 8), dtype=complex),
+                np.zeros((2, 0), dtype=complex)):
+        with pytest.raises(ValueError, match="non-empty"):
+            mean_over_states(bad, StatisticKind("mu", 2))
 
 
 def test_relative_deviation():
@@ -315,6 +324,36 @@ def test_run_ensemble_worker_count_invariance():
         assert a[label].points == b[label].points
 
 
+def test_run_ensemble_starts_no_more_workers_than_chunks(monkeypatch):
+    # 200 realizations make 4 chunks, so 8 workers ask for a pool of 4. The
+    # pool is replaced by one that records its size and runs inline.
+    import ucesim.runner as runner
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items):
+            return map(fn, items)
+
+    class Context:
+        Pool = InlinePool
+
+    monkeypatch.setattr(runner.multiprocessing, "get_context", lambda: Context)
+    cfg = EnsembleConfig(n_q=3, checkpoints=(3, 6), master_seed=3, n_r=200, sizing=None)
+    pooled = run_ensemble(cfg, ["mu2"], workers=8)
+    assert sizes == [4]
+    assert pooled["mu2"].points == run_ensemble(cfg, ["mu2"], workers=1)["mu2"].points
+
+
 def test_run_ensemble_sizing_rule():
     cfg = EnsembleConfig(n_q=5, checkpoints=(2,), master_seed=0, sizing=(10, 8))
     assert cfg.resolved_n_r() == 10 * 2 ** 3
@@ -362,9 +401,8 @@ def test_run_ensemble_equals_reference_path():
                               for i in range(0, n_r, 64)]
                 mean = math.fsum(chunk_sums) / (stat.terms(n) * n_r)
                 if n_r <= 64:
-                    row = stat.row if stat.kind == "mufix" else None
-                    assert mean == (correlator_estimate(states, stat.k) if stat.kind == "c"
-                                    else moment_estimate(states, stat.k, row)), label
+                    block = np.array([s.amplitudes for s in states])
+                    assert mean == mean_over_states(block, stat), label
                 d.append(relative_deviation(mean, stat.reference(n)))
             points = list(zip(cps, d))
             expected = ConvergenceCurve(n_q=n_q, statistic=stat, points=points,
@@ -394,7 +432,8 @@ def test_run_ensemble_equals_reference_path_on_split_rows():
                         hist.add(log_intensities(s))
                     d.append(hellinger_distance(hist))
                 else:
-                    d.append(relative_deviation(mean_over_states(states, stat),
+                    block = np.array([s.amplitudes for s in states])
+                    d.append(relative_deviation(mean_over_states(block, stat),
                                                 stat.reference(n)))
             assert curves[label].points == list(zip(cps, d)), (n_q, label)
 
@@ -447,7 +486,7 @@ def test_one_fold_allocates_under_1_5_mib_at_any_n_q():
 
 
 def test_block_folded_reference_mean_equals_per_column_folds(monkeypatch):
-    # mean_over_states folds its columns in blocks of at most BLOCK_GROUP
+    # mean_over_states folds its block in runs of at most BLOCK_GROUP
     # amplitudes; its mean must equal, bit for bit, the fsum of fold_block
     # sums taken one column at a time. 5000 columns of N = 4 run as
     # 4096 + 904 rows; a column of n_q 15 is cut into three pieces.
@@ -475,7 +514,7 @@ def test_block_folded_reference_mean_equals_per_column_folds(monkeypatch):
                 fold_block([stat], s.amplitudes[None], {label: sums})
             assert len(sums) == count, label
             shapes.clear()
-            assert mean_over_states(states, stat) == math.fsum(sums) / (stat.terms(n) * count)
+            assert mean_over_states(block, stat) == math.fsum(sums) / (stat.terms(n) * count)
             assert shapes == runs, (n_q, label)
             shapes.clear()  # fold_block cuts a whole block the same way
             assert fold_block([stat], block, {label: []})[label] == sums, (n_q, label)
@@ -486,10 +525,9 @@ def test_reference_mean_rejects_columns_of_different_lengths():
     ones = [StateColumn(2, np.full(4, 0.5, dtype=complex)),
             StateColumn(3, np.full(8, 1 / math.sqrt(8), dtype=complex))]  # every y = 1
     assert moment_estimate(ones[:1], 2) == 1.0
-    for estimate in (lambda s: moment_estimate(s, 2), lambda s: correlator_estimate(s, 2)):
-        for states in (ones, ones[::-1]):
-            with pytest.raises(ValueError, match="different lengths"):
-                estimate(states)
+    for states in (ones, ones[::-1]):
+        with pytest.raises(ValueError, match="different lengths"):
+            moment_estimate(states, 2)
 
 
 def test_histograms_merge_with_iadd():
