@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .column_sim import dense_unitary_oracle, walk_block, walk_columns
-from .cue_ref import sample_haar_first_column
+from .cue_ref import sample_haar_first_columns
 from .ensemble_stats import ConvergenceCurve, StatisticKind, fold_block
 from .gateset import MAX_N_Q, STREAM_VERSION, EnsembleConfig, circuit_to_text, sample_circuit
 from .runner import geometric_checkpoints, run_ensemble
@@ -128,6 +128,10 @@ def _effective_config(args) -> dict:
         unknown = sorted(set(data) - set(cfg))
         if unknown:
             raise UsageError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
+        if data.keys() & {"n_r", "sizing"}:
+            # A file's realization rule replaces the default one; a file
+            # that sets both keeps both, and n_r wins.
+            cfg["n_r"] = cfg["sizing"] = None
         cfg.update(data)
     if args.nq is not None:
         cfg["n_q"] = _parse_int_list(args.nq)
@@ -307,12 +311,12 @@ def cmd_gap(args) -> int:
                          f"got {args.samples}")
     rng = np.random.default_rng(args.seed)
     g, sigma = build_moment_operator(args.samples, rng, exact=args.exact)
-    res = spectral_gap(g, sigma=sigma, sample_count=0 if args.exact else args.samples)
+    gap, multiplicity = spectral_gap(g, sigma=sigma)
     report = {
-        "gap": res.gap,
-        "multiplicity": res.multiplicity,
-        "samples": res.sample_count,
-        "sigma_estimate": res.sigma,
+        "gap": gap,
+        "multiplicity": multiplicity,
+        "samples": 0 if args.exact else args.samples,
+        "sigma_estimate": sigma,
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -333,10 +337,10 @@ def cmd_oracle_check(args) -> int:
     # dense full-matrix oracle.
     for trial in range(args.trials):
         nq = 2 + trial % (args.nq_max - 1)
-        circuit = sample_circuit(args.seed, trial, nq, 30)
-        oracle = dense_unitary_oracle(circuit)[:, 0]
+        tape = sample_circuit(args.seed, trial, nq, 30)
+        oracle = dense_unitary_oracle(tape)[:, 0]
         for name, walk in (("block", walk_block), ("column", walk_columns)):
-            ((_, column),) = walk(circuit.tape, [30])
+            ((_, column),) = walk(tape, [30])
             err = float(np.max(np.abs(column[0] - oracle)))
             ok = err < 1e-12
             failures += not ok
@@ -347,7 +351,7 @@ def cmd_oracle_check(args) -> int:
     # statistic's mean is the fsum of its per-column sums over terms(N) * R.
     rng = np.random.default_rng(args.seed)
     N = 8
-    block = np.array([sample_haar_first_column(N, rng) for _ in range(4000)])
+    block = sample_haar_first_columns(4000, N, rng)
     stats = [StatisticKind.parse(label) for label in ("mu1", "mu2", "c2")]
     fold = fold_block(stats, block, {s.label: [] for s in stats})
     for s in stats:
@@ -370,8 +374,8 @@ def cmd_dump_circuit(args) -> int:
         raise UsageError(f"--nq must be >= 1, got {args.nq}")
     if args.ng < 0:
         raise UsageError(f"--ng must be >= 0, got {args.ng}")
-    circuit = sample_circuit(args.seed, args.index, args.nq, args.ng)
-    sys.stdout.write(circuit_to_text(circuit))
+    tape = sample_circuit(args.seed, args.index, args.nq, args.ng)
+    sys.stdout.write(circuit_to_text(tape, args.seed, args.index))
     return EXIT_OK
 
 
@@ -398,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nq", help="comma list of qubit counts")
     p.add_argument("--statistics", help="comma list, e.g. pl,mu2,c2,mu4x0")
     p.add_argument("--checkpoints", help="comma list of gate counts")
-    p.add_argument("--nr", type=int, help="explicit realization count")
-    p.add_argument("--sizing", help="a,b for n_r = a*2^(b-nq)")
+    rule = p.add_mutually_exclusive_group()
+    rule.add_argument("--nr", type=int, help="explicit realization count")
+    rule.add_argument("--sizing", help="a,b for n_r = a*2^(b-nq)")
     p.add_argument("--seed", type=_non_negative_int, help="master seed")
     p.add_argument("--pg", type=float, help="single-qubit gate probability")
     p.add_argument("--workers", type=int, default=1)

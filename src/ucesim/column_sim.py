@@ -20,7 +20,7 @@ from itertools import islice
 
 import numpy as np
 
-from .gateset import MAX_N_Q, Circuit, GateTape
+from .gateset import GateTape, check_checkpoints, check_n_q
 
 # Up to this qubit count a chunk of realizations advances as one (R, N)
 # block; above it the per-column kernels are faster (measured crossover, see
@@ -40,16 +40,9 @@ class StateColumn:
     amplitudes: np.ndarray
 
 
-def _check_n_q(n_q: int):
-    if n_q < 1:
-        raise ValueError("n_q must be >= 1")
-    if n_q > MAX_N_Q:
-        raise ValueError(f"n_q={n_q} exceeds memory cap {MAX_N_Q}")
-
-
 def initial_column(n_q: int) -> StateColumn:
     """Column of the identity on |0...0>: amplitude 1 at index 0."""
-    _check_n_q(n_q)
+    check_n_q(n_q)
     amps = np.zeros(1 << n_q, dtype=complex)
     amps[0] = 1.0
     return StateColumn(n_q=n_q, amplitudes=amps)
@@ -222,20 +215,19 @@ def iter_checkpoints(tape: GateTape, checkpoints):
     checkpoints (prefix reuse), and gates past the last one are not applied.
     Blocks are live, not copied: they change as the caller resumes.
     """
-    _check_n_q(tape.n_q)
-    cps = list(checkpoints)
-    if any(b <= a for a, b in zip([-1, *cps], cps)):
-        raise ValueError("checkpoints must be strictly increasing and >= 0")
+    check_n_q(tape.n_q)
+    cps = check_checkpoints(checkpoints)
     if cps and cps[-1] > tape.n_g:
         raise ValueError(f"checkpoint {cps[-1]} exceeds n_g={tape.n_g}")
     walk = walk_block if tape.n_q <= BLOCK_MAX_N_Q else walk_columns
     return walk(tape, cps)
 
 
-def simulate_first_column(circuit: Circuit, checkpoints) -> list[StateColumn]:
-    """Snapshots of the first column at each checkpoint (gate count)."""
-    return [StateColumn(circuit.n_q, block[0].copy())
-            for _, block in iter_checkpoints(circuit.tape, checkpoints)]
+def simulate_first_column(tape: GateTape, checkpoints) -> list[StateColumn]:
+    """Snapshots of a one-row tape's first column at each checkpoint (gate
+    count)."""
+    return [StateColumn(tape.n_q, block[0].copy())
+            for _, block in iter_checkpoints(tape, checkpoints)]
 
 
 def gate_matrix_full(n_q: int, is_u2: bool, qubit: int, target: int,
@@ -252,13 +244,15 @@ def gate_matrix_full(n_q: int, is_u2: bool, qubit: int, target: int,
     return full
 
 
-def dense_unitary_oracle(circuit: Circuit) -> np.ndarray:
-    """Full circuit unitary by dense matrix multiplication; n_q <= 8 only."""
-    if circuit.n_q > 8:
+def dense_unitary_oracle(tape: GateTape) -> np.ndarray:
+    """Full unitary of a one-row tape by dense matrix multiplication; n_q <= 8
+    only."""
+    if tape.n_q > 8:
         raise ValueError("dense oracle limited to n_q <= 8")
-    t = circuit.tape
-    u = np.eye(1 << circuit.n_q, dtype=complex)
-    for row in zip(t.is_u2[0].tolist(), t.qubit[0].tolist(), t.target[0].tolist(),
-                   t.matrices()[0]):
-        u = gate_matrix_full(circuit.n_q, *row) @ u
+    if tape.is_u2.shape[0] != 1:
+        raise ValueError("dense oracle takes a one-row tape")
+    u = np.eye(1 << tape.n_q, dtype=complex)
+    for row in zip(tape.is_u2[0].tolist(), tape.qubit[0].tolist(), tape.target[0].tolist(),
+                   tape.matrices()[0]):
+        u = gate_matrix_full(tape.n_q, *row) @ u
     return u

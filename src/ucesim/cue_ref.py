@@ -100,7 +100,17 @@ def sample_haar_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def sample_haar_first_column(N: int, rng: np.random.Generator) -> np.ndarray:
-    """First column of a Haar unitary: a uniformly random unit vector."""
-    z = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    return z / np.linalg.norm(z)
+def sample_haar_first_columns(rows: int, N: int, rng: np.random.Generator) -> np.ndarray:
+    """First columns of ``rows`` Haar unitaries: uniformly random unit
+    vectors, shape (rows, N).
+
+    Each row takes N real then N imaginary normals from one draw. Its norm is
+    the root of the summed squares of the real and imaginary parts, each sum
+    a (1, N) @ (N, 1) product on the strided views, which rounds as the norm
+    of the one complex vector (``np.linalg.norm(z[i])``) does.
+    """
+    g = rng.standard_normal((rows, 2, N))
+    z = g[:, 0] + 1j * g[:, 1]
+    re, im = z.real[:, None, :], z.imag[:, None, :]
+    sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+    return z / np.sqrt(sq[:, 0])

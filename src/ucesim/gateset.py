@@ -8,8 +8,8 @@ independent of execution order.
 
 A realization's gates are drawn as one ``GateTape`` row (``draw_tape``),
 and the tape is the one circuit format: ``sample_gate`` is a one-gate tape,
-a ``Circuit`` is a one-row tape plus its seed lineage, and the runner reads
-the same draws. Every U(2) matrix comes from the one vectorized formula
+a circuit (``sample_circuit``) is a one-row tape, and the runner reads the
+same draws. Every U(2) matrix comes from the one vectorized formula
 ``u2_matrices``.
 ``STREAM_VERSION`` names this draw layout in run manifests.
 """
@@ -31,6 +31,23 @@ STREAM_VERSION = 2
 TAPE_COLUMNS = 7
 
 
+def check_n_q(n_q: int):
+    """The qubit counts a column can be built for: 1 to ``MAX_N_Q``."""
+    if n_q < 1:
+        raise ValueError(f"n_q={n_q} must be >= 1")
+    if n_q > MAX_N_Q:
+        raise ValueError(f"n_q={n_q} exceeds memory cap {MAX_N_Q}")
+
+
+def check_checkpoints(checkpoints) -> tuple:
+    """``checkpoints`` as a tuple, checked to be gate counts that strictly
+    increase from 0 or more (none at all is allowed here)."""
+    cps = tuple(checkpoints)
+    if any(b <= a for a, b in zip((-1, *cps), cps)):
+        raise ValueError("checkpoints must be strictly increasing and >= 0")
+    return cps
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Parameters of one convergence run at fixed qubit count, all checked here.
@@ -47,19 +64,13 @@ class EnsembleConfig:
     sizing: tuple | None = (10, 20)
 
     def __post_init__(self):
-        if self.n_q < 1:
-            raise ValueError(f"n_q={self.n_q} must be >= 1")
-        if self.n_q > MAX_N_Q:
-            raise ValueError(f"n_q={self.n_q} exceeds memory cap {MAX_N_Q}")
+        check_n_q(self.n_q)
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if not 0.0 <= self.p_g <= 1.0:
             raise ValueError(f"p_g must be in [0, 1], got {self.p_g}")
-        cps = tuple(self.checkpoints)
-        if not cps:
+        if not check_checkpoints(self.checkpoints):
             raise ValueError("need at least one checkpoint")
-        if any(b <= a for a, b in zip((-1, *cps), cps)):
-            raise ValueError("checkpoints must be strictly increasing and >= 0")
         if self.n_r is not None and self.n_r < 1:
             raise ValueError(f"n_r must be >= 1, got {self.n_r}")
         if self.n_r is None and (self.sizing is None or self.sizing[0] < 1):
@@ -145,23 +156,6 @@ class GateTape:
         return m
 
 
-@dataclass(frozen=True, eq=False)
-class Circuit:
-    """One realization: a one-row ``GateTape`` together with its seed lineage."""
-
-    tape: GateTape
-    master_seed: int
-    realization_index: int
-
-    @property
-    def n_q(self) -> int:
-        return self.tape.n_q
-
-    @property
-    def n_g(self) -> int:
-        return self.tape.n_g
-
-
 def draw_tape(rngs, n_q: int, n_g: int, p_g: float = 0.5) -> GateTape:
     """Tape of n_g gates for each generator in ``rngs``, one realization each.
 
@@ -198,18 +192,17 @@ def sample_u2_angles(rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_circuit(master_seed: int, realization_index: int, n_q: int, n_g: int,
-                   p_g: float = 0.5) -> Circuit:
-    """Deterministic circuit draw; extending n_g preserves the gate prefix."""
-    tape = draw_tape([realization_rng(master_seed, realization_index)], n_q, n_g, p_g)
-    return Circuit(tape=tape, master_seed=master_seed, realization_index=realization_index)
+                   p_g: float = 0.5) -> GateTape:
+    """One realization's one-row tape; extending n_g preserves the gate prefix."""
+    return draw_tape([realization_rng(master_seed, realization_index)], n_q, n_g, p_g)
 
 
-def circuit_to_text(circuit: Circuit) -> str:
-    """Line-oriented serialization; floats carry 17 significant digits."""
-    t = circuit.tape
-    lines = [f"nq={circuit.n_q} seed={circuit.master_seed} idx={circuit.realization_index}"]
-    for u2, q, target, a in zip(t.is_u2[0].tolist(), t.qubit[0].tolist(),
-                                t.target[0].tolist(), t.angles[0].tolist()):
+def circuit_to_text(tape: GateTape, master_seed: int, realization_index: int) -> str:
+    """Line-oriented serialization of a one-row tape under a header naming
+    its seed lineage; floats carry 17 significant digits."""
+    lines = [f"nq={tape.n_q} seed={master_seed} idx={realization_index}"]
+    for u2, q, target, a in zip(tape.is_u2[0].tolist(), tape.qubit[0].tolist(),
+                                tape.target[0].tolist(), tape.angles[0].tolist()):
         lines.append("U2 q=%d alpha=%.17g psi=%.17g chi=%.17g phi=%.17g" % (q, *a)
                      if u2 else f"CNOT c={q} t={target}")
     return "\n".join(lines) + "\n"
@@ -239,8 +232,9 @@ def _parse_gate_line(line: str, n_q: int) -> tuple:
     return kind == "U2", q, t, angles
 
 
-def circuit_from_text(text: str) -> Circuit:
-    """Inverse of circuit_to_text; raises ValueError on malformed text."""
+def circuit_from_text(text: str) -> tuple[GateTape, int, int]:
+    """Inverse of circuit_to_text: (one-row tape, master_seed,
+    realization_index); raises ValueError on malformed text."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty circuit text")
@@ -254,8 +248,7 @@ def circuit_from_text(text: str) -> Circuit:
         raise ValueError(f"circuit text lacks field {exc}") from None
     is_u2, qubit, target, angles = zip(*rows) if rows else ((), (), (), ())
     n_g = len(rows)
-    tape = GateTape(n_q=n_q, is_u2=np.array(is_u2, dtype=bool).reshape(1, n_g),
+    return GateTape(n_q=n_q, is_u2=np.array(is_u2, dtype=bool).reshape(1, n_g),
                     qubit=np.array(qubit, dtype=np.intp).reshape(1, n_g),
                     target=np.array(target, dtype=np.intp).reshape(1, n_g),
-                    angles=np.array(angles, dtype=float).reshape(1, n_g, 4))
-    return Circuit(tape=tape, master_seed=seed, realization_index=index)
+                    angles=np.array(angles, dtype=float).reshape(1, n_g, 4)), seed, index

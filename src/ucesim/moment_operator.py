@@ -15,17 +15,14 @@ eigenvalues; the gap is 1 minus the next eigenvalue magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .gateset import haar_angles, u2_matrices
 
 # 4x4 CNOTs on a qubit pair |hi, lo> (index = 2*hi + lo).
-CNOT_HI_CTRL = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float)
-CNOT_LO_CTRL = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=float)
+CNOT_HI_CTRL = np.eye(4)[[0, 1, 3, 2]]
+CNOT_LO_CTRL = np.eye(4)[[0, 3, 2, 1]]
 
 # Fewest Haar samples the Monte Carlo path accepts.
 MIN_MC_SAMPLES = 10_000
@@ -36,15 +33,6 @@ MC_CHUNK = 4096
 # the 8-qubit tensor space of the four 4-dim copies.
 _HI_POSITIONS = (0, 2, 4, 6)
 _LO_POSITIONS = (1, 3, 5, 7)
-
-
-@dataclass(frozen=True)
-class GapResult:
-    multiplicity: int
-    gap: float
-    sample_count: int
-    sigma: float
-    degenerate: bool = False
 
 
 def haar_u2_batch(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -97,19 +85,12 @@ def embed_four_qubit_operator(m16: np.ndarray, positions) -> np.ndarray:
     """Place a 4-qubit operator at the given slots of an 8-qubit space,
     identity elsewhere; returns the 256x256 matrix."""
     full = np.kron(m16, np.eye(16, dtype=m16.dtype))
-    t = full.reshape((2,) * 16)
-    perm = [0] * 8
-    used = [False] * 8
-    for k, p in enumerate(positions):
-        perm[p] = k
-        used[p] = True
-    nxt = 4
-    for j in range(8):
-        if not used[j]:
-            perm[j] = nxt
-            nxt += 1
+    # Slot j of the result reads axis perm[j] of the kron: the operator's
+    # qubits in ``positions`` order, then the identity's in slot order.
+    order = [*positions, *(j for j in range(8) if j not in positions)]
+    perm = [order.index(j) for j in range(8)]
     axes = perm + [p + 8 for p in perm]
-    return t.transpose(axes).reshape(256, 256)
+    return full.reshape((2,) * 16).transpose(axes).reshape(256, 256)
 
 
 def _kron4(m: np.ndarray) -> np.ndarray:
@@ -141,12 +122,13 @@ def build_moment_operator(sample_count: int = 100_000,
     return g, sigma
 
 
-def spectral_gap(g: np.ndarray, sigma: float = 0.0,
-                 sample_count: int = 0) -> GapResult:
-    """Eigenvalue-1 multiplicity and gap of the (symmetrized) operator.
+def spectral_gap(g: np.ndarray, sigma: float = 0.0) -> tuple[float, int]:
+    """(gap, multiplicity) of the symmetrized operator: the number of
+    modulus-1 eigenvalues and 1 minus the largest magnitude below them.
 
     Eigenvalues with magnitude above 1 - tau, tau = 10 * sigma (floored at
-    1e-9), count as modulus-1.
+    1e-9), count as modulus-1; the leading one always counts. The gap is 0.0
+    when every eigenvalue counts.
     """
     if g.shape[0] != g.shape[1]:
         raise ValueError("G must be square")
@@ -154,11 +136,7 @@ def spectral_gap(g: np.ndarray, sigma: float = 0.0,
     w = np.linalg.eigvalsh(gs)
     mags = np.sort(np.abs(w))[::-1]
     tau = max(10.0 * sigma, 1e-9)
-    multiplicity = int(np.count_nonzero(mags > 1.0 - tau))
-    if multiplicity == 0:
-        multiplicity = 1  # leading eigenvalue always counted
+    multiplicity = max(1, int(np.count_nonzero(mags > 1.0 - tau)))
     if multiplicity >= mags.size:
-        return GapResult(multiplicity=multiplicity, gap=0.0, sample_count=sample_count,
-                         sigma=sigma, degenerate=True)
-    gap = 1.0 - float(mags[multiplicity])
-    return GapResult(multiplicity=multiplicity, gap=gap, sample_count=sample_count, sigma=sigma)
+        return 0.0, multiplicity
+    return 1.0 - float(mags[multiplicity]), multiplicity

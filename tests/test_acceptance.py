@@ -10,7 +10,7 @@ import pytest
 
 from ucesim import cli
 from ucesim.column_sim import dense_unitary_oracle, iter_checkpoints, simulate_first_column
-from ucesim.cue_ref import cue_correlator, cue_moment, sample_haar_first_column
+from ucesim.cue_ref import cue_correlator, cue_moment, sample_haar_first_columns
 from ucesim.ensemble_stats import Histogram, StatisticKind, fold_block, mean_over_states
 from ucesim.gateset import EnsembleConfig, draw_tape, realization_rng, sample_circuit
 from ucesim.runner import geometric_checkpoints, run_ensemble
@@ -27,9 +27,9 @@ def test_criterion_1_oracle_equivalence():
     worst = 0.0
     for trial in range(100):
         nq = 2 + trial % 4
-        circuit = sample_circuit(MASTER_SEED, trial, nq, 30)
-        (snap,) = simulate_first_column(circuit, [30])
-        oracle = dense_unitary_oracle(circuit)[:, 0]
+        tape = sample_circuit(MASTER_SEED, trial, nq, 30)
+        (snap,) = simulate_first_column(tape, [30])
+        oracle = dense_unitary_oracle(tape)[:, 0]
         worst = max(worst, float(np.max(np.abs(snap.amplitudes - oracle))))
     assert worst < 1e-12
     _ok(1, f"100 circuits match the dense oracle, worst dev {worst:.2e}")
@@ -58,7 +58,7 @@ def test_criterion_4_haar_oracle_statistics():
     n_draws = 100_000
     rng = np.random.default_rng(MASTER_SEED + 2)
     for n in (4, 8, 16):
-        cols = np.array([sample_haar_first_column(n, rng) for _ in range(n_draws)])
+        cols = sample_haar_first_columns(n_draws, n, rng)
         y = n * np.abs(cols) ** 2
         for k in (1, 2, 4):
             est = mean_over_states(cols, StatisticKind("mu", k))

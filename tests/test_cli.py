@@ -130,7 +130,8 @@ def test_converge_bad_input_is_a_clear_error(tmp_path, capsys):
 
 
 def test_converge_checks_the_whole_run_before_writing(tmp_path, capsys):
-    # A small valid run that each row makes invalid; the last flag wins.
+    # A small valid run that each row makes invalid; the last flag wins,
+    # except that --nr and --sizing exclude each other.
     base = ["converge", "--nq", "2", "--nr", "2", "--checkpoints", "2,4",
             "--statistics", "pl,mu2"]
     out = tmp_path / "out"
@@ -138,7 +139,7 @@ def test_converge_checks_the_whole_run_before_writing(tmp_path, capsys):
         (["--pg", "2"], "p_g must be in [0, 1], got 2.0"),
         (["--pg", "nan"], "p_g must be in [0, 1], got nan"),
         (["--nr", "0"], "n_r must be >= 1, got 0"),
-        (["--sizing", "0,3"], "with a >= 1, got (0, 3)"),
+        (["--sizing", "0,3"], "argument --sizing: not allowed with argument --nr"),
         (["--seed", "-5"], "argument --seed: must be >= 0, got -5"),
         (["--checkpoints=-2,4"], "checkpoints must be strictly increasing and >= 0"),
         (["--checkpoints", "4,4"], "checkpoints must be strictly increasing and >= 0"),
@@ -156,6 +157,34 @@ def test_converge_checks_the_whole_run_before_writing(tmp_path, capsys):
         assert not out.exists(), argv
     assert run([*base, "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == ["curve_nq2_mu2.csv", "curve_nq2_pl.csv", "manifest.json"]
+
+
+def test_converge_takes_one_realization_rule(tmp_path, capsys):
+    # --nr with --sizing, and a bad sizing alone, are usage errors that
+    # write nothing.
+    out = tmp_path / "out"
+    for argv, message in ((["--nr", "5", "--sizing", "1,2"],
+                           "argument --sizing: not allowed with argument --nr"),
+                          (["--sizing", "0,3"], "with a >= 1, got (0, 3)")):
+        assert run(["converge", "--nq", "2", *argv, "--out", str(out)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err, (argv, err)
+        assert not out.exists(), argv
+    # A config file's rule replaces the default rule; a file that sets both
+    # (an old manifest) still runs, and its n_r wins.
+    base = {"n_q": [2], "checkpoints": [2, 4], "statistics": ["mu2"], "master_seed": 1}
+    for i, (rule, n_r, want) in enumerate((
+            ({"n_r": 3}, 3, {"n_r": 3, "sizing": None}),
+            ({"sizing": [1, 3]}, 2, {"n_r": None, "sizing": [1, 3]}),
+            ({"n_r": 3, "sizing": [10, 20]}, 3, {"n_r": 3, "sizing": [10, 20]}))):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**base, **rule}))
+        d = tmp_path / f"run{i}"
+        assert run(["converge", "--config", str(cfg), "--out", str(d)]) == 0, rule
+        config = json.loads(read(d / "manifest.json"))["config"]
+        assert {k: config[k] for k in want} == want, rule
+        rows = read(d / "curve_nq2_mu2.csv").decode().splitlines()[1:]
+        assert {r.split(",")[4] for r in rows} == {str(n_r)}, rule
 
 
 def test_negative_seed_or_index_names_the_flag(capsys):
@@ -303,6 +332,18 @@ def test_gap_json_schema_and_determinism(tmp_path, capsys):
     assert report["samples"] == 15000
 
 
+def test_gap_stdout_is_pinned(capsys):
+    # The whole report of an exact and a Monte Carlo gap, byte for byte.
+    for argv, gap, samples, sigma in (
+            (["--exact"], "0.23270330772353753", 0, "0.0"),
+            (["--samples", "10000", "--seed", "0"], "0.23270523760360673", 10000,
+             "0.0015803097300898996")):
+        assert run(["gap", *argv]) == 0, argv
+        assert capsys.readouterr().out == (
+            f'{{\n  "gap": {gap},\n  "multiplicity": 2,\n  "samples": {samples},\n'
+            f'  "sigma_estimate": {sigma}\n}}\n'), argv
+
+
 def test_gap_exact_flag(tmp_path, capsys):
     assert run(["gap", "--exact"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -327,10 +368,16 @@ def test_oracle_check_passes(capsys):
 
 def test_oracle_check_haar_estimates_are_pinned(capsys):
     assert run(["oracle-check", "--trials", "20", "--seed", "0"]) == 0
-    haar = [line for line in capsys.readouterr().out.splitlines() if line.startswith("haar ")]
+    out = capsys.readouterr().out
+    haar = [line for line in out.splitlines() if line.startswith("haar ")]
     assert haar == ["haar mu1 est=1.000000 ref=1.000000 ok",
                     "haar mu2 est=1.779259 ref=1.777778 ok",
                     "haar c2 est=0.885844 ref=0.888889 ok"]
+    # The whole printout, oracle errors included; those are last-bit
+    # rounding of the dense products, so this digest holds for one numpy
+    # and BLAS build (numpy 2.4.6 with its bundled OpenBLAS on x86-64).
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f127aac99a7d822ed0faac479ab0439602032ff2f17957229e674caee57d8f13")
 
 
 def test_oracle_check_detects_injected_fault(monkeypatch, capsys):
@@ -355,10 +402,12 @@ def test_dump_circuit_roundtrip(capsys):
                 "--index", "1"]) == 0
     text = capsys.readouterr().out
     from ucesim.gateset import circuit_from_text, circuit_to_text, sample_circuit
-    back, drawn = circuit_from_text(text).tape, sample_circuit(4, 1, 3, 12).tape
+    back, seed, index = circuit_from_text(text)
+    drawn = sample_circuit(4, 1, 3, 12)
+    assert (seed, index) == (4, 1)
     for field in ("is_u2", "qubit", "target", "angles"):
         assert np.array_equal(getattr(back, field), getattr(drawn, field)), field
-    assert circuit_to_text(circuit_from_text(text)) == text
+    assert circuit_to_text(back, seed, index) == text
 
 
 def test_dump_circuit_bytes_are_pinned(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,8 @@ from ucesim.column_sim import (
     walk_columns,
 )
 from ucesim.gateset import (
-    Circuit,
+    MAX_N_Q,
+    EnsembleConfig,
     GateTape,
     circuit_from_text,
     draw_tape,
@@ -172,17 +174,16 @@ def test_one_gate_at_n_q_22_allocates_under_one_mib():
 
 
 def test_simulate_empty_circuit():
-    circuit = sample_circuit(0, 0, 3, 0)
-    (snap,) = simulate_first_column(circuit, [0])
+    (snap,) = simulate_first_column(sample_circuit(0, 0, 3, 0), [0])
     assert snap.amplitudes[0] == 1.0
     assert np.count_nonzero(snap.amplitudes) == 1
 
 
 def test_simulate_cnot_only_circuit_stays_at_e0():
     rng = np.random.default_rng(4)
-    circuit = Circuit(draw_tape([rng], 4, 30, 0.0), master_seed=0, realization_index=0)
-    assert not circuit.tape.is_u2.any()
-    for snap in simulate_first_column(circuit, [10, 20, 30]):
+    tape = draw_tape([rng], 4, 30, 0.0)
+    assert not tape.is_u2.any()
+    for snap in simulate_first_column(tape, [10, 20, 30]):
         assert snap.amplitudes[0] == 1.0
         assert np.count_nonzero(snap.amplitudes) == 1
 
@@ -193,12 +194,11 @@ def test_simulate_checkpoint_beyond_n_g():
 
 
 def test_iter_checkpoints_yields_the_live_column():
-    circuit = sample_circuit(5, 1, 3, 20)
-    tape = circuit.tape
+    tape = sample_circuit(5, 1, 3, 20)
     cps = [0, 1, 4, 9, 20]
     seen = []
     for (k, block), snap in zip(iter_checkpoints(tape, cps),
-                                simulate_first_column(circuit, cps), strict=True):
+                                simulate_first_column(tape, cps), strict=True):
         assert k == len(seen)
         assert np.array_equal(block[0], snap.amplitudes)
         seen.append(block)
@@ -222,10 +222,29 @@ def test_iter_checkpoints_applies_no_gate_past_the_last_checkpoint():
 
 
 def test_iter_checkpoints_rejects_bad_checkpoints():
-    tape = sample_circuit(5, 1, 3, 10).tape
+    tape = sample_circuit(5, 1, 3, 10)
     for cps in ([3, 3], [4, 2], [-1, 2], [11]):
         with pytest.raises(ValueError):
             list(iter_checkpoints(tape, cps))
+
+
+def test_n_q_and_checkpoint_rules_have_one_owner():
+    # A run's config, a column and a walk reject the same bad n_q or
+    # checkpoints with the same message.
+    empty = draw_tape([realization_rng(0, 0)], 1, 0)
+    for n_q, message in ((0, "n_q=0 must be >= 1"),
+                         (MAX_N_Q + 1, f"n_q={MAX_N_Q + 1} exceeds memory cap {MAX_N_Q}")):
+        tape = GateTape(n_q, empty.is_u2, empty.qubit, empty.target, empty.angles)
+        for make in (lambda: EnsembleConfig(n_q, (2,), 0, n_r=1),
+                     lambda: initial_column(n_q), lambda: iter_checkpoints(tape, [])):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make()
+    tape = sample_circuit(5, 1, 3, 10)
+    for cps in ((3, 3), (4, 2), (-1, 2)):
+        for make in (lambda: EnsembleConfig(3, cps, 0, n_r=1),
+                     lambda: iter_checkpoints(tape, cps)):
+            with pytest.raises(ValueError, match="checkpoints must be strictly increasing and >= 0"):
+                make()
 
 
 def test_block_step_equals_view_kernels_and_dense_oracle():
@@ -263,8 +282,7 @@ def test_block_step_equals_view_kernels_and_dense_oracle():
                 if r < 4:
                     row = GateTape(n_q, tape.is_u2[r:r + 1], tape.qubit[r:r + 1],
                                    tape.target[r:r + 1], tape.angles[r:r + 1])
-                    circuit = Circuit(row, master_seed=n_q, realization_index=r)
-                    oracle = dense_unitary_oracle(circuit)[:, 0]
+                    oracle = dense_unitary_oracle(row)[:, 0]
                     assert np.max(np.abs(block[r] - oracle)) < 1e-12, (n_q, rows, r)
 
 
@@ -280,9 +298,9 @@ def test_walk_columns_equals_walk_block_above_the_crossover():
 
 
 def test_simulate_matches_dense_oracle():
-    circuit = sample_circuit(11, 0, 3, 30)
-    (snap,) = simulate_first_column(circuit, [30])
-    oracle = dense_unitary_oracle(circuit)[:, 0]
+    tape = sample_circuit(11, 0, 3, 30)
+    (snap,) = simulate_first_column(tape, [30])
+    oracle = dense_unitary_oracle(tape)[:, 0]
     assert np.max(np.abs(snap.amplitudes - oracle)) < 1e-12
 
 
@@ -292,7 +310,7 @@ def test_dense_oracle_empty_is_identity():
 
 def test_dense_oracle_single_cnot_is_permutation():
     for text in ("nq=2 seed=0 idx=0\nCNOT c=0 t=1\n", "nq=2 seed=0 idx=0\nCNOT c=1 t=0\n"):
-        u = dense_unitary_oracle(circuit_from_text(text))
+        u = dense_unitary_oracle(circuit_from_text(text)[0])
         assert np.array_equal(np.abs(u), np.abs(u).astype(int))
         assert np.array_equal(u.sum(axis=0).real, np.ones(4))
         assert np.array_equal(u.sum(axis=1).real, np.ones(4))
@@ -300,14 +318,15 @@ def test_dense_oracle_single_cnot_is_permutation():
 
 
 def test_dense_oracle_unitarity():
-    circuit = sample_circuit(5, 0, 4, 40)
-    u = dense_unitary_oracle(circuit)
+    u = dense_unitary_oracle(sample_circuit(5, 0, 4, 40))
     assert np.max(np.abs(u.conj().T @ u - np.eye(16))) < 1e-12
 
 
 def test_dense_oracle_guards_large_n_q():
     with pytest.raises(ValueError):
         dense_unitary_oracle(sample_circuit(0, 0, 9, 1))
+    with pytest.raises(ValueError, match="one-row tape"):
+        dense_unitary_oracle(draw_tape([realization_rng(0, r) for r in range(2)], 2, 3))
 
 
 def test_norm_after_thousand_gates():

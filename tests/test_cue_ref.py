@@ -8,7 +8,7 @@ from ucesim.cue_ref import (
     cue_correlator,
     cue_log_density,
     cue_moment,
-    sample_haar_first_column,
+    sample_haar_first_columns,
     sample_haar_unitary,
 )
 
@@ -131,10 +131,26 @@ def test_haar_left_invariance_of_first_column_moments():
 def test_haar_first_column_matches_unitary_column_distribution():
     rng = np.random.default_rng(4)
     n_draws = 20_000
-    cols = np.array([sample_haar_first_column(8, rng) for _ in range(n_draws)])
+    cols = sample_haar_first_columns(n_draws, 8, rng)
     y = 8 * np.abs(cols) ** 2
     mean2 = (y ** 2).mean()
     se = (y ** 2).std() / math.sqrt(y.size)
     # column normalization forces the per-column mean of y to be exactly 1
     assert np.allclose(y.mean(axis=1), 1.0, atol=1e-12)
     assert abs(mean2 - cue_moment(2, 8)) < 5 * se
+
+
+def test_haar_first_columns_equal_per_column_draws():
+    # The block draw takes the same normals in the same order as one column
+    # per call, and its norm rounds as np.linalg.norm of each column: the
+    # same bits.
+    for seed, rows in ((0, 300), (7, 300), (11, 2000)):
+        for n in (1, 4, 8, 16, 64):
+            rng = np.random.default_rng(seed)
+            want = []
+            for _ in range(rows):
+                z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                want.append(z / np.linalg.norm(z))
+            got = sample_haar_first_columns(rows, n, np.random.default_rng(seed))
+            assert got.shape == (rows, n)
+            assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64)), (seed, n)

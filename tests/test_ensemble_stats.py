@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ucesim.column_sim import BLOCK_GROUP, StateColumn, initial_column, simulate_first_column
-from ucesim.cue_ref import cue_correlator, cue_moment, sample_haar_first_column
+from ucesim.cue_ref import cue_correlator, cue_moment, sample_haar_first_columns
 from ucesim.ensemble_stats import (
     ROW_PIECE,
     Histogram,
@@ -32,7 +32,7 @@ def uniform_state(n_q):
 def haar_states(n_q, count, seed):
     rng = np.random.default_rng(seed)
     n = 1 << n_q
-    return [StateColumn(n_q, sample_haar_first_column(n, rng)) for _ in range(count)]
+    return [StateColumn(n_q, a) for a in sample_haar_first_columns(count, n, rng)]
 
 
 class _StubHist:
@@ -280,7 +280,7 @@ def test_convergence_curve_qualitative_decrease():
 
 def test_histogram_add_accepts_a_block():
     rng = np.random.default_rng(12)
-    cols = np.array([sample_haar_first_column(16, rng) for _ in range(9)])
+    cols = sample_haar_first_columns(9, 16, rng)
     cols[2, 3] = 0.0  # an exact zero lands in the underflow bin
     with np.errstate(divide="ignore"):
         block = np.log(intensities(cols, 16))
@@ -295,7 +295,7 @@ def test_histogram_add_accepts_a_block():
 
 def test_state_sums_of_a_block_equal_per_column_sums():
     rng = np.random.default_rng(13)
-    y = intensities(np.array([sample_haar_first_column(32, rng) for _ in range(7)]), 32)
+    y = intensities(sample_haar_first_columns(7, 32, rng), 32)
     for label in ("mu1", "mu2", "mu5", "c2", "c3", "c8", "mu3x5"):
         stat = StatisticKind.parse(label)
         sums = stat.state_sum(y)
@@ -450,7 +450,7 @@ def test_run_ensemble_equals_reference_path_on_split_rows():
 def test_a_piece_of_a_split_row_is_scaled_by_its_column_length():
     rng = np.random.default_rng(15)
     n = 1 << 15  # pieces [0, ROW_PIECE), [ROW_PIECE, 2 ROW_PIECE), [2 ROW_PIECE, n)
-    a = sample_haar_first_column(n, rng)
+    (a,) = sample_haar_first_columns(1, n, rng)
     piece = slice(ROW_PIECE, 2 * ROW_PIECE)
     assert np.array_equal(intensities(a[piece], n), n * np.abs(a[piece]) ** 2)
     stats = [StatisticKind.parse(label) for label in ("pl", "mu1", f"mu3x{n - 1}")]
@@ -533,8 +533,8 @@ def test_reference_mean_rejects_columns_of_different_lengths():
 def test_histograms_merge_with_iadd():
     rng = np.random.default_rng(17)
     with np.errstate(divide="ignore"):
-        a, b = (np.log(intensities(np.array([sample_haar_first_column(16, rng)
-                                              for _ in range(5)]), 16)) for _ in range(2))
+        a, b = (np.log(intensities(sample_haar_first_columns(5, 16, rng), 16))
+                for _ in range(2))
     merged = Histogram(16).add(a)
     merged += Histogram(16).add(b)
     both = Histogram(16).add(np.concatenate([a, b]))

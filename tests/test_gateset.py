@@ -7,7 +7,6 @@ import pytest
 from ucesim.gateset import (
     MAX_N_Q,
     TAPE_COLUMNS,
-    Circuit,
     EnsembleConfig,
     GateTape,
     circuit_from_text,
@@ -149,22 +148,22 @@ def test_sample_circuit_empty_and_deterministic():
         sample_circuit(1, 0, 3, -1)
     c1 = sample_circuit(99, 2, 4, 25)
     c2 = sample_circuit(99, 2, 4, 25)
-    assert (c1.n_q, c1.n_g) == (4, 25)
-    assert _same_tape(c1.tape, c2.tape)
+    assert (c1.n_q, c1.n_g, c1.is_u2.shape[0]) == (4, 25, 1)
+    assert _same_tape(c1, c2)
 
 
 def test_sample_circuit_prefix_property():
     for seed in (0, 17, 23):
         short = sample_circuit(seed, 1, 5, 10)
         long = sample_circuit(seed, 1, 5, 40)
-        assert _same_tape(_part(long.tape, gates=slice(10)), short.tape)
+        assert _same_tape(_part(long, gates=slice(10)), short)
 
 
 def test_distinct_realization_streams():
     for seed in range(100):
         a = sample_circuit(seed, 0, 3, 10)
         b = sample_circuit(seed, 1, 3, 10)
-        assert not _same_tape(a.tape, b.tape)
+        assert not _same_tape(a, b)
 
 
 def test_realization_rng_independent_of_order():
@@ -175,17 +174,15 @@ def test_realization_rng_independent_of_order():
 
 
 def test_circuit_serialization_roundtrip():
-    circuit = sample_circuit(123, 4, 3, 20)
-    text = circuit_to_text(circuit)
+    tape = sample_circuit(123, 4, 3, 20)
+    text = circuit_to_text(tape, 123, 4)
     assert text.splitlines()[0] == "nq=3 seed=123 idx=4"
-    back = circuit_from_text(text)
-    assert back.n_q == circuit.n_q
-    assert back.master_seed == circuit.master_seed
-    assert back.realization_index == circuit.realization_index
-    assert _same_tape(back.tape, circuit.tape)  # 17 digits round-trip doubles exactly
-    assert circuit_to_text(back) == text
-    empty = circuit_from_text(circuit_to_text(sample_circuit(1, 0, 3, 0)))
-    assert _same_tape(empty.tape, sample_circuit(1, 0, 3, 0).tape)
+    back, seed, index = circuit_from_text(text)
+    assert (seed, index) == (123, 4)
+    assert _same_tape(back, tape)  # 17 digits round-trip doubles exactly
+    assert circuit_to_text(back, seed, index) == text
+    empty, _, _ = circuit_from_text(circuit_to_text(sample_circuit(1, 0, 3, 0), 1, 0))
+    assert _same_tape(empty, sample_circuit(1, 0, 3, 0))
 
 
 def test_ensemble_config_rejects_bad_checkpoints():
@@ -229,7 +226,7 @@ def test_draw_tape_prefix_property():
         assert _same_tape(_part(long, gates=slice(12)), short)
         for r in range(5):
             assert _same_tape(_part(short, rows=slice(r, r + 1)),
-                              sample_circuit(3, r, n_q, 12).tape)
+                              sample_circuit(3, r, n_q, 12))
 
 
 def test_draw_tape_layout_and_ranges():
@@ -256,7 +253,7 @@ def test_tape_matrices_are_u2_matrix_and_roundtrip_gates():
     m = tape.matrices()
     for r in range(3):
         row = _part(tape, rows=slice(r, r + 1))
-        back = circuit_from_text(circuit_to_text(Circuit(row, 2, r))).tape
+        back, _, _ = circuit_from_text(circuit_to_text(row, 2, r))
         assert _same_tape(back, row)
         assert np.array_equal(back.matrices()[0], m[r])
         for g in range(tape.n_g):
