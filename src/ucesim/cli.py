@@ -26,10 +26,10 @@ import numpy as np
 from . import __version__
 from .column_sim import dense_unitary_oracle, walk_block, walk_columns
 from .cue_ref import sample_haar_first_columns
-from .ensemble_stats import ConvergenceCurve, StatisticKind, fold_block
+from .ensemble_stats import StatisticKind, fold_block
 from .gateset import MAX_N_Q, STREAM_VERSION, EnsembleConfig, circuit_to_text, sample_circuit
 from .runner import geometric_checkpoints, run_ensemble
-from .scaling import MODELS, NStarPoint, fit_model, n_star
+from .scaling import MODELS, fit_model, n_star
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,13 +60,6 @@ def _parse_float_list(text: str) -> list[float]:
     if not all(map(math.isfinite, values)):
         raise UsageError(f"expected finite numbers, got {text!r}")
     return values
-
-
-def _finite_float(text: str) -> float:
-    """float(text), with inf and nan a ValueError."""
-    if math.isfinite(value := float(text)):
-        return value
-    raise ValueError(text)
 
 
 def _load_config_file(path: str) -> dict:
@@ -157,18 +150,30 @@ def _effective_config(args) -> dict:
     return cfg
 
 
+def _at_least(read, low):
+    """A curve column reader: read(text), with a value below low, infinite
+    or NaN a ValueError."""
+    def check(text):
+        if low <= (value := read(text)) < math.inf:
+            return value
+        raise ValueError(text)
+    return check
+
+
 # Curve CSV columns, in file order, and how nstar-fit reads each.
-_CURVE_FIELDS = {"nq": int, "ng": int, "statistic": StatisticKind.parse, "value": _finite_float,
-                 "n_r": int, "seed": int}
+_CURVE_FIELDS = {"nq": _at_least(int, 1), "ng": _at_least(int, 0),
+                 "statistic": StatisticKind.parse, "value": _at_least(float, 0),
+                 "n_r": _at_least(int, 1), "seed": _at_least(int, 0)}
 
 
-def _write_curve_csv(path: str, curve: ConvergenceCurve):
+def _write_curve_csv(path: str, config: EnsembleConfig, label: str, points):
+    """One run's curve of one statistic, a row per (n_g, D) point."""
+    n_r = config.resolved_n_r()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CURVE_FIELDS)
-        for ng, d in curve.points:
-            writer.writerow([curve.n_q, ng, curve.statistic.label, _fmt(d),
-                             curve.n_r, curve.master_seed])
+        for ng, d in points:
+            writer.writerow([config.n_q, ng, label, _fmt(d), n_r, config.master_seed])
 
 
 def cmd_converge(args) -> int:
@@ -193,7 +198,7 @@ def cmd_converge(args) -> int:
         curves = run_ensemble(econf, stats, workers=args.workers)
         for s in stats:
             path = os.path.join(out_dir, f"curve_nq{econf.n_q}_{s.label}.csv")
-            _write_curve_csv(path, curves[s.label])
+            _write_curve_csv(path, econf, s.label, curves[s.label])
     manifest = {
         "config": cfg,
         "package_version": __version__,
@@ -227,31 +232,31 @@ def _curve_rows(path: str):
 
 
 def read_curves(paths) -> dict:
-    """Load curve CSVs, returning {statistic: {nq: ConvergenceCurve}}.
+    """Load curve CSVs, returning {statistic label: {nq: [(ng, value), ...]}}
+    with each curve's points in ng order.
 
     The rows of one (statistic, nq) must come from one run: one n_r, one
     seed and no gate count twice. Anything else is a UsageError that names
-    both files.
+    both files; so are files that hold no rows at all.
     """
-    runs = {}  # (label, nq) -> (statistic, n_r, seed, first file)
+    runs = {}  # (label, nq) -> (n_r, seed, first file)
     points = defaultdict(dict)  # (label, nq) -> {ng: (value, file)}
     for path in paths:
         for where, f in _curve_rows(path):
-            stat = f["statistic"]
-            key = (stat.label, f["nq"])
-            _, n_r, seed, first = runs.setdefault(key, (stat, f["n_r"], f["seed"], path))
-            clash = f"{where}: statistic {stat.label} at nq {f['nq']}"
+            key = (f["statistic"].label, f["nq"])
+            n_r, seed, first = runs.setdefault(key, (f["n_r"], f["seed"], path))
+            clash = f"{where}: statistic {key[0]} at nq {key[1]}"
             if (f["n_r"], f["seed"]) != (n_r, seed):
                 raise UsageError(f"{clash} has n_r {f['n_r']} and seed {f['seed']}, "
                                  f"but {first} has n_r {n_r} and seed {seed}")
             if f["ng"] in points[key]:
                 raise UsageError(f"{clash} repeats ng {f['ng']} of {points[key][f['ng']][1]}")
             points[key][f["ng"]] = (f["value"], path)
+    if not runs:
+        raise UsageError(f"no curve rows read from {', '.join(paths)}")
     curves = {}
-    for (label, nq), (stat, n_r, seed, _) in runs.items():
-        curves.setdefault(label, {})[nq] = ConvergenceCurve(
-            n_q=nq, statistic=stat, n_r=n_r, master_seed=seed,
-            points=[(ng, value) for ng, (value, _) in sorted(points[(label, nq)].items())])
+    for (label, nq), by_ng in points.items():
+        curves.setdefault(label, {})[nq] = [(ng, d) for ng, (d, _) in sorted(by_ng.items())]
     return curves
 
 
@@ -281,7 +286,7 @@ def cmd_nstar_fit(args) -> int:
                     ns = n_star(by_nq[nq], eps, guard_factor=args.guard)
                     writer.writerow([nq, _fmt(ln_eps), "NA" if ns is None else ns])
                     if ns is not None:
-                        table[ln_eps].append(NStarPoint(n_q=nq, ln_eps=ln_eps, n_star=ns))
+                        table[ln_eps].append((nq, ns))
         with open(fits_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["model", "ln_eps", "a", "b", "chi2"])
@@ -295,9 +300,8 @@ def cmd_nstar_fit(args) -> int:
                         writer.writerow([model, _fmt(ln_eps), "NA", "NA", "NA"])
                     continue
                 for model in MODELS:
-                    fit = fit_model(pts, model)
-                    writer.writerow([model, _fmt(ln_eps), _fmt(fit.a),
-                                     _fmt(fit.b), _fmt(fit.chi2)])
+                    writer.writerow([model, _fmt(ln_eps),
+                                     *map(_fmt, fit_model(pts, ln_eps, model))])
     if warnings:
         print(f"{warnings} fit group(s) skipped", file=sys.stderr)
     return EXIT_OK

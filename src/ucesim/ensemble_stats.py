@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -272,29 +272,3 @@ def relative_deviation(estimate: float, reference: float) -> float:
     if reference <= 0:
         raise ValueError("reference must be positive")
     return abs(estimate - reference) / reference
-
-
-@dataclass
-class ConvergenceCurve:
-    """(n_g, D) samples of one statistic at fixed n_q, plus the saturation
-    floor ``d_min`` (NaN below 4 points)."""
-
-    n_q: int
-    statistic: StatisticKind
-    points: list  # list of (n_g, D)
-    n_r: int
-    master_seed: int
-    d_min: float = field(default=math.nan, init=False)
-
-    def __post_init__(self):
-        if len(self.points) >= 4:
-            self.d_min = saturation_floor(self.points)
-
-
-def saturation_floor(points) -> float:
-    """Median D over the last quartile of checkpoints (>= 4 points)."""
-    pts = list(points)
-    if len(pts) < 4:
-        raise ValueError("need at least 4 points to estimate the floor")
-    tail = max(1, math.ceil(len(pts) / 4))
-    return float(np.median([d for _, d in pts[-tail:]]))

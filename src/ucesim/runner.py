@@ -20,7 +20,6 @@ import multiprocessing
 
 from .column_sim import iter_checkpoints
 from .ensemble_stats import (
-    ConvergenceCurve,
     Histogram,
     StatisticKind,
     fold_block,
@@ -66,7 +65,8 @@ def _merge(partials) -> list:
 
 
 def run_ensemble(config: EnsembleConfig, statistics, workers: int = 1) -> dict:
-    """Run one ensemble and return {statistic label: ConvergenceCurve}.
+    """Run one ensemble and return {statistic label: [(n_g, D), ...]}, one
+    point per checkpoint.
 
     ``statistics`` is an iterable of StatisticKind or label strings; all
     statistics share the same simulated realizations.
@@ -96,8 +96,7 @@ def run_ensemble(config: EnsembleConfig, statistics, workers: int = 1) -> dict:
                 mean = math.fsum(fold[s.label]) / (s.terms(n) * n_r)
                 d = relative_deviation(mean, s.reference(n))
             points.append((ng, d))
-        curves[s.label] = ConvergenceCurve(n_q=config.n_q, statistic=s, points=points,
-                                           n_r=n_r, master_seed=config.master_seed)
+        curves[s.label] = points
     return curves
 
 

@@ -1,10 +1,10 @@
 """Gate-count thresholds n*(n_q, eps) and scaling-law fits.
 
-From each convergence curve we extract the smallest gate count at which the
-distance first drops to eps (linearly interpolated between checkpoints and
-rounded up), guarded against the finite-sample saturation floor. The
-resulting n*(n_q) data are fitted by closed-form least squares to three
-two-parameter models:
+A convergence curve is its list of (n_g, D) points. From each we extract the
+smallest gate count at which the distance first drops to eps (linearly
+interpolated between checkpoints and rounded up), guarded against the
+finite-sample saturation floor. The resulting (n_q, n*) pairs are fitted by
+closed-form least squares to three two-parameter models:
 
     f1 = a * n_q + b
     f2 = a * n_q * ln(n_q / eps) + b
@@ -16,52 +16,37 @@ with chi^2 the raw sum of squared residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .ensemble_stats import ConvergenceCurve
 
 MODELS = ("f1", "f2", "f3")
 
 
-@dataclass(frozen=True)
-class NStarPoint:
-    """One gate-count threshold; n_star is float to admit synthetic model
-    values, the curve extractor always produces integers."""
-
-    n_q: int
-    ln_eps: float
-    n_star: float
-
-    def __post_init__(self):
-        if self.n_star < 1:
-            raise ValueError("n_star must be >= 1")
+def saturation_floor(points) -> float:
+    """Median D over the last quartile of checkpoints (>= 4 points)."""
+    pts = list(points)
+    if len(pts) < 4:
+        raise ValueError("need at least 4 points to estimate the floor")
+    tail = max(1, math.ceil(len(pts) / 4))
+    return float(np.median([d for _, d in pts[-tail:]]))
 
 
-@dataclass(frozen=True)
-class FitResult:
-    model: str
-    a: float
-    b: float
-    chi2: float
-    ln_eps: float
+def n_star(points, eps: float, guard_factor: float = 2.0) -> int | None:
+    """Smallest gate count with D <= eps on a curve of (n_g, D) points, or
+    None when unreachable.
 
-
-def n_star(curve: ConvergenceCurve, eps: float, guard_factor: float = 2.0) -> int | None:
-    """Smallest gate count with D <= eps, or None when unreachable.
-
-    None signals eps < guard_factor * d_min (too close to the saturation
-    floor; increase n_r or eps) or that the curve never crosses eps.
+    None signals eps < guard_factor * saturation_floor(points), which is
+    only checked on curves of 4 or more points (too close to the floor;
+    increase n_r or eps), or that the curve never crosses eps.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     if guard_factor <= 1:
         raise ValueError("guard_factor must exceed 1")
-    if math.isfinite(curve.d_min) and eps < guard_factor * curve.d_min:
+    if len(points) >= 4 and eps < guard_factor * saturation_floor(points):
         return None
     prev = None
-    for ng, d in curve.points:
+    for ng, d in points:
         if d <= eps:
             if prev is None:
                 return max(1, int(ng))
@@ -82,23 +67,19 @@ def _regressor(model: str, n_q: np.ndarray, ln_eps: float) -> np.ndarray:
     raise ValueError(f"unknown model {model!r}")
 
 
-def fit_model(points, model: str) -> FitResult:
-    """Least-squares fit of one model to n*(n_q) data at fixed ln_eps."""
+def fit_model(points, ln_eps: float, model: str) -> tuple[float, float, float]:
+    """Least-squares fit of one model to (n_q, n*) pairs at ln_eps; returns
+    (a, b, chi2). n* may be any real >= 1, to admit synthetic model values."""
     pts = list(points)
     if len(pts) < 3:
         raise ValueError("need at least 3 points to fit")
-    ln_eps_values = {p.ln_eps for p in pts}
-    if len(ln_eps_values) != 1:
-        raise ValueError("all points must share ln_eps")
-    ln_eps = pts[0].ln_eps
-    nq = np.array([p.n_q for p in pts], dtype=float)
-    y = np.array([p.n_star for p in pts], dtype=float)
+    nq, y = np.array(list(zip(*pts)), dtype=float)
+    if not (y >= 1).all():
+        raise ValueError("n_star must be >= 1")
     x = _regressor(model, nq, ln_eps)
     if np.ptp(x) == 0:
         raise ValueError("degenerate regressor: all x values equal")
     design = np.column_stack([x, np.ones_like(x)])
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
-    return FitResult(model=model, a=float(coef[0]), b=float(coef[1]),
-                     chi2=float(np.sum(resid ** 2)), ln_eps=ln_eps)
-
+    return float(coef[0]), float(coef[1]), float(np.sum(resid ** 2))

@@ -14,7 +14,7 @@ from ucesim.cue_ref import cue_correlator, cue_moment, sample_haar_first_columns
 from ucesim.ensemble_stats import Histogram, StatisticKind, fold_block, mean_over_states
 from ucesim.gateset import EnsembleConfig, draw_tape, realization_rng, sample_circuit
 from ucesim.runner import geometric_checkpoints, run_ensemble
-from ucesim.scaling import NStarPoint, fit_model, n_star
+from ucesim.scaling import fit_model, n_star, saturation_floor
 
 MASTER_SEED = 20260823
 
@@ -100,10 +100,10 @@ def test_criterion_6_convergence_qualitative():
         cfg = EnsembleConfig(n_q=4, checkpoints=(5, 10, 20, 50),
                              master_seed=MASTER_SEED + 3, n_r=n_r, sizing=None)
         curves[n_r] = run_ensemble(cfg, ["pl"])["pl"]
-    d = [dist for _, dist in curves[10_000].points]
+    d = [dist for _, dist in curves[10_000]]
     assert all(b < a for a, b in zip(d, d[1:]))
     assert d[-1] <= d[0] / 10
-    assert curves[10_000].d_min < curves[1000].d_min
+    assert saturation_floor(curves[10_000]) < saturation_floor(curves[1000])
     _ok(6, f"D_P falls {d[0]:.3f} -> {d[-1]:.5f}; larger n_r lowers the floor")
 
 
@@ -117,34 +117,33 @@ def test_criterion_7_fit_engine_exactness():
     }
     coeffs = {"f1": (2.0, 3.0), "f2": (0.2, 1.0), "f3": (0.1, 2.0)}
     for gen_model, fn in truth.items():
-        pts = [NStarPoint(n_q=nq, ln_eps=ln_eps, n_star=fn(nq))
-               for nq in range(2, 11)]
-        fits = {m: fit_model(pts, m) for m in ("f1", "f2", "f3")}
-        a, b = coeffs[gen_model]
-        assert abs(fits[gen_model].a - a) < 1e-8
-        assert abs(fits[gen_model].b - b) < 1e-8
-        assert fits[gen_model].chi2 < 1e-12
+        pairs = [(nq, fn(nq)) for nq in range(2, 11)]
+        fits = {m: fit_model(pairs, ln_eps, m) for m in ("f1", "f2", "f3")}
+        a, b, chi2 = fits[gen_model]
+        assert abs(a - coeffs[gen_model][0]) < 1e-8
+        assert abs(b - coeffs[gen_model][1]) < 1e-8
+        assert chi2 < 1e-12
         for other, fit in fits.items():
             if other != gen_model:
-                assert fits[gen_model].chi2 < fit.chi2
+                assert chi2 < fit[2]
     _ok(7, "each model recovers its own synthetic data exactly and fits best")
 
 
 def test_criterion_8_desk_scale_scaling_study():
     ln_eps = -1.0
     eps = math.exp(ln_eps)
-    points = []
+    pairs = []
     for nq in range(2, 11):
         cfg = EnsembleConfig(n_q=nq, checkpoints=geometric_checkpoints(nq),
                              master_seed=MASTER_SEED + 4, sizing=(10, 16))
-        curve = run_ensemble(cfg, ["mu2"], workers=2)["mu2"]
-        ns = n_star(curve, eps, guard_factor=2.0)
+        points = run_ensemble(cfg, ["mu2"], workers=2)["mu2"]
+        ns = n_star(points, eps, guard_factor=2.0)
         assert ns is not None, f"n* unreachable at n_q={nq}"
-        points.append(NStarPoint(n_q=nq, ln_eps=ln_eps, n_star=ns))
-    values = [p.n_star for p in points]
+        pairs.append((nq, ns))
+    values = [ns for _, ns in pairs]
     assert all(b >= a for a, b in zip(values, values[1:])), values
-    chi_f2 = fit_model(points, "f2").chi2
-    chi_f3 = fit_model(points, "f3").chi2
+    chi_f2 = fit_model(pairs, ln_eps, "f2")[2]
+    chi_f3 = fit_model(pairs, ln_eps, "f3")[2]
     assert chi_f2 <= chi_f3
     _ok(8, f"n* {values} monotone; chi2 f2={chi_f2:.3f} <= f3={chi_f3:.3f}")
 

@@ -280,7 +280,16 @@ def test_nstar_fit_usage_errors(tmp_path, capsys):
             (header + "3,1,mu2,0.5,40,1\n3,2,mu2,nan,40,1\n", "bad.csv:3: bad value 'nan'"),
             (header + "3,1,mu2,-inf,40,1\n", "bad.csv:2: bad value '-inf'"),
             (header + "3,1,foo,0.5,40,1\n", "bad.csv:2: bad statistic 'foo'"),
-            (header + "3,1,mu2,0.5,40\n", "bad.csv:2: bad seed None")):
+            (header + "3,1,mu2,0.5,40\n", "bad.csv:2: bad seed None"),
+            # Fields out of range; nq 0 would put ln 0 into the f2 fit.
+            (header + "0,1,mu2,0.5,40,1\n1,1,mu2,0.5,40,1\n2,1,mu2,0.5,40,1\n",
+             "bad.csv:2: bad nq '0'"),
+            (header + "3,-5,mu2,0.5,40,1\n", "bad.csv:2: bad ng '-5'"),
+            (header + "3,1,mu2,-0.5,40,1\n", "bad.csv:2: bad value '-0.5'"),
+            (header + "3,1,mu2,inf,40,1\n", "bad.csv:2: bad value 'inf'"),
+            (header + "3,1,mu2,0.5,0,1\n", "bad.csv:2: bad n_r '0'"),
+            (header + "3,1,mu2,0.5,40,-1\n", "bad.csv:2: bad seed '-1'"),
+            (header, f"no curve rows read from {tmp_path / 'bad.csv'}\n")):
         path = tmp_path / "bad.csv"
         path.write_text(text)
         out = tmp_path / "o"
@@ -494,3 +503,34 @@ def test_dump_circuit_usage_errors(capsys):
 
 def test_unknown_subcommand_is_usage_error():
     assert run(["frobnicate"]) == 1
+
+
+# sha256 of each file that nstar-fit writes from the 24 curves of
+# GOLDEN_ARGV, and of its stderr. The nstar_* files hold integers only; the
+# fits_* digests hold for one numpy/BLAS build, like the curve digests.
+GOLDEN_NSTAR_SHA256 = {
+    "nstar_pl.csv": "045ce209352fc9d5e89487e6dee9e7dff668d27422177e8bc277af95b46c5d78",
+    "nstar_mu2.csv": "ae9e383901d1dbe0ca1dc2420d603214cae30a1f82cc8a34f1838659076b1ace",
+    "nstar_c3.csv": "edb252295b35eed6cd5802d4ed41b86fbc68d2168765ae424436da56c5b423f6",
+    "nstar_mu4x1.csv": "056e9cd595231093883a6a753a53daf3161018c0c6ce30e0621f8b8774030b59",
+    "fits_pl.csv": "da65bed05143d91e2000c356ce2bff42c81bede969be592276b2c33640ba0821",
+    "fits_mu2.csv": "6fa402cdf9c156065a377cd5b27613d97dd2bea0a0ef7f36977f86498d12b28f",
+    "fits_c3.csv": "30ca5d6b2fa1b12282fc234de567275c55035b94439cdeb24715687ab327d67e",
+    "fits_mu4x1.csv": "64ae61aa1e75e2596dba24b9fcae397be09e1da650aa0ed1551c8f4b294637c0",
+    "stderr": "37adc7717f8b28aa5c0f2b6cba43fa9b9cac2dff871ee263424cb56bc7634b4b",
+}
+
+
+def test_nstar_fit_output_bytes_are_pinned(tmp_path, capsys):
+    """n*, fits and warnings from the pinned converge run, at three eps; a
+    change in them is a regression unless CHANGES.md says why."""
+    curves = str(tmp_path / "run")
+    assert run([*GOLDEN_ARGV, "--out", curves]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "fit")
+    paths = [os.path.join(curves, name) for name in GOLDEN_SHA256 if name.startswith("curve_")]
+    assert run(["nstar-fit", *paths, "--ln-eps=-1,-2,-3", "--out", out]) == 0
+    digests = {name: hashlib.sha256(read(os.path.join(out, name))).hexdigest()
+               for name in os.listdir(out)}
+    digests["stderr"] = hashlib.sha256(capsys.readouterr().err.encode()).hexdigest()
+    assert digests == GOLDEN_NSTAR_SHA256

@@ -9,7 +9,6 @@ from ucesim.cue_ref import cue_correlator, cue_moment, sample_haar_first_columns
 from ucesim.ensemble_stats import (
     ROW_PIECE,
     Histogram,
-    ConvergenceCurve,
     StatisticKind,
     fold_block,
     hellinger_distance,
@@ -18,10 +17,10 @@ from ucesim.ensemble_stats import (
     mean_over_states,
     moment_estimate,
     relative_deviation,
-    saturation_floor,
 )
 from ucesim.gateset import EnsembleConfig, sample_circuit
 from ucesim.runner import run_ensemble
+from ucesim.scaling import saturation_floor
 
 
 def uniform_state(n_q):
@@ -265,15 +264,14 @@ def test_saturation_floor_synthetic_decay():
 
 def test_convergence_curve_checkpoint_zero_moment():
     cfg = EnsembleConfig(n_q=2, checkpoints=(0, 2), master_seed=1, n_r=5, sizing=None)
-    curve = run_ensemble(cfg, ["mu2"])["mu2"]
-    assert curve.points[0] == (0, pytest.approx(1.5))  # |4 - 1.6| / 1.6
+    points = run_ensemble(cfg, ["mu2"])["mu2"]
+    assert points[0] == (0, pytest.approx(1.5))  # |4 - 1.6| / 1.6
 
 
 def test_convergence_curve_qualitative_decrease():
     cfg = EnsembleConfig(n_q=4, checkpoints=(5, 10, 20, 50), master_seed=2,
                          n_r=1000, sizing=None)
-    curve = run_ensemble(cfg, ["pl"])["pl"]
-    d = [dist for _, dist in curve.points]
+    d = [dist for _, dist in run_ensemble(cfg, ["pl"])["pl"]]
     assert all(b < a for a, b in zip(d, d[1:]))
     assert d[-1] <= d[0] / 10
 
@@ -321,7 +319,7 @@ def test_run_ensemble_worker_count_invariance():
     a = run_ensemble(cfg, stats, workers=1)
     b = run_ensemble(cfg, stats, workers=8)
     for label in stats:
-        assert a[label].points == b[label].points
+        assert a[label] == b[label]
 
 
 def test_run_ensemble_starts_no_more_workers_than_chunks(monkeypatch):
@@ -351,16 +349,15 @@ def test_run_ensemble_starts_no_more_workers_than_chunks(monkeypatch):
     cfg = EnsembleConfig(n_q=3, checkpoints=(3, 6), master_seed=3, n_r=200, sizing=None)
     pooled = run_ensemble(cfg, ["mu2"], workers=8)
     assert sizes == [4]
-    assert pooled["mu2"].points == run_ensemble(cfg, ["mu2"], workers=1)["mu2"].points
+    assert pooled == run_ensemble(cfg, ["mu2"], workers=1)
 
 
 def test_run_ensemble_sizing_rule():
     cfg = EnsembleConfig(n_q=5, checkpoints=(2,), master_seed=0, sizing=(10, 8))
     assert cfg.resolved_n_r() == 10 * 2 ** 3
-    curve = run_ensemble(cfg, ["mu1"])["mu1"]
-    assert curve.n_r == 80
+    points = run_ensemble(cfg, ["mu1"])["mu1"]
     # first moment is pinned to 1 by normalization regardless of convergence
-    assert curve.points[0][1] < 1e-10
+    assert points[0][1] < 1e-10
 
 
 def test_run_ensemble_validates_statistics():
@@ -404,11 +401,7 @@ def test_run_ensemble_equals_reference_path():
                     block = np.array([s.amplitudes for s in states])
                     assert mean == mean_over_states(block, stat), label
                 d.append(relative_deviation(mean, stat.reference(n)))
-            points = list(zip(cps, d))
-            expected = ConvergenceCurve(n_q=n_q, statistic=stat, points=points,
-                                        n_r=n_r, master_seed=11)
-            assert curves[label] == expected, (n_q, n_r, label)
-            assert curves[label].d_min == saturation_floor(points)
+            assert curves[label] == list(zip(cps, d)), (n_q, n_r, label)
 
 
 def test_run_ensemble_equals_reference_path_on_split_rows():
@@ -435,7 +428,7 @@ def test_run_ensemble_equals_reference_path_on_split_rows():
                     block = np.array([s.amplitudes for s in states])
                     d.append(relative_deviation(mean_over_states(block, stat),
                                                 stat.reference(n)))
-            assert curves[label].points == list(zip(cps, d)), (n_q, label)
+            assert curves[label] == list(zip(cps, d)), (n_q, label)
 
         # |a| = 2^-8 makes every y = v = 2^(n_q - 16) exactly, so a column's
         # sum is terms(N) * v^k: pieces neither drop nor repeat a term.
