@@ -52,13 +52,17 @@ def _parse_int_list(text: str) -> list[int]:
         raise UsageError(f"expected a comma list of integers, got {text!r}") from None
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _parse_ln_eps(text: str) -> list[float]:
+    """The --ln-eps comma list: finite numbers x with exp(x) a positive float."""
     try:
         values = [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise UsageError(f"expected a comma list of numbers, got {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise UsageError(f"expected finite numbers, got {text!r}")
+    for x in values:
+        if not (x <= math.log(sys.float_info.max) and math.exp(x) > 0):
+            raise UsageError(f"--ln-eps {x!r} makes eps = exp(ln_eps) 0 or overflow a float")
     return values
 
 
@@ -150,20 +154,21 @@ def _effective_config(args) -> dict:
     return cfg
 
 
-def _at_least(read, low):
-    """A curve column reader: read(text), with a value below low, infinite
+def _in_range(read, low, high=math.inf):
+    """A curve column reader: read(text), with a value outside [low, high)
     or NaN a ValueError."""
     def check(text):
-        if low <= (value := read(text)) < math.inf:
+        if low <= (value := read(text)) < high:
             return value
         raise ValueError(text)
     return check
 
 
-# Curve CSV columns, in file order, and how nstar-fit reads each.
-_CURVE_FIELDS = {"nq": _at_least(int, 1), "ng": _at_least(int, 0),
-                 "statistic": StatisticKind.parse, "value": _at_least(float, 0),
-                 "n_r": _at_least(int, 1), "seed": _at_least(int, 0)}
+# Curve CSV columns, in file order, and how nstar-fit reads each; nq and ng
+# stay below 2**53, where the fits and n* interpolation hold them as floats.
+_CURVE_FIELDS = {"nq": _in_range(int, 1, 2 ** 53), "ng": _in_range(int, 0, 2 ** 53),
+                 "statistic": StatisticKind.parse, "value": _in_range(float, 0),
+                 "n_r": _in_range(int, 1), "seed": _in_range(int, 0)}
 
 
 def _write_curve_csv(path: str, config: EnsembleConfig, label: str, points):
@@ -263,7 +268,7 @@ def read_curves(paths) -> dict:
 def cmd_nstar_fit(args) -> int:
     if not args.curves:
         raise UsageError("no curve files given")
-    ln_eps_list = _parse_float_list(args.ln_eps)
+    ln_eps_list = _parse_ln_eps(args.ln_eps)
     if not ln_eps_list:
         raise UsageError("empty --ln-eps list")
     if not 1 < args.guard < math.inf:

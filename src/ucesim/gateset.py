@@ -112,15 +112,6 @@ def u2_matrices(alpha, psi, chi, phi) -> np.ndarray:
     return u
 
 
-def haar_angles(u) -> np.ndarray:
-    """(alpha, psi, chi, phi) of a Haar U(2) from four uniforms (..., 4):
-    the first three times 2*pi, and phi = arcsin(sqrt(xi)) from the fourth."""
-    angles = np.empty(np.shape(u))
-    angles[..., :3] = u[..., :3] * TWO_PI
-    angles[..., 3] = np.arcsin(np.sqrt(u[..., 3]))
-    return angles
-
-
 def u2_matrix(angles) -> np.ndarray:
     """The 2x2 unitary of one gate's angles (alpha, psi, chi, phi)."""
     return u2_matrices(*angles)
@@ -162,7 +153,8 @@ def draw_tape(rngs, n_q: int, n_g: int, p_g: float = 0.5) -> GateTape:
     Each realization takes one ``rng.random((n_g, 7))`` call; row g holds
     the uniforms of gate g: kind (U(2) if < p_g, always for n_q = 1),
     qubit or control, target (a uniform pick among the other n_q - 1
-    qubits), and alpha, psi, chi, xi, which ``haar_angles`` turns into angles.
+    qubits), then alpha, psi, chi (2*pi times their uniforms) and
+    phi = arcsin(sqrt(xi)) of a Haar U(2).
     Drawing more gates extends the tape without changing its prefix.
     """
     if n_q < 1:
@@ -174,7 +166,7 @@ def draw_tape(rngs, n_q: int, n_g: int, p_g: float = 0.5) -> GateTape:
     qubit = (u[..., 1] * n_q).astype(np.intp)
     target = (u[..., 2] * (n_q - 1)).astype(np.intp)
     target += target >= qubit
-    angles = haar_angles(u[..., 3:])
+    angles = np.concatenate([u[..., 3:6] * TWO_PI, np.arcsin(np.sqrt(u[..., 6:]))], axis=-1)
     angles *= is_u2[..., None]
     return GateTape(n_q=n_q, is_u2=is_u2, qubit=qubit,
                     target=np.where(is_u2, qubit, target), angles=angles)

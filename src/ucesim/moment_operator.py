@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .gateset import haar_angles, u2_matrices
+from .gateset import draw_tape
 
 # 4x4 CNOTs on a qubit pair |hi, lo> (index = 2*hi + lo).
 CNOT_HI_CTRL = np.eye(4)[[0, 1, 3, 2]]
@@ -33,13 +33,6 @@ MC_CHUNK = 4096
 # the 8-qubit tensor space of the four 4-dim copies.
 _HI_POSITIONS = (0, 2, 4, 6)
 _LO_POSITIONS = (1, 3, 5, 7)
-
-
-def haar_u2_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n Haar-distributed 2x2 unitaries, shape (n, 2, 2), built by the gate
-    set's Haar angle conversion and U(2) formula."""
-    u = np.vstack([rng.random((3, n)), rng.random(n)]).T
-    return u2_matrices(*haar_angles(u).T)
 
 
 def exact_two_copy_average() -> np.ndarray:
@@ -57,24 +50,26 @@ def exact_two_copy_average() -> np.ndarray:
 
 
 def mc_two_copy_average(sample_count: int, rng: np.random.Generator):
-    """Monte Carlo estimate of the U(2) two-copy average.
+    """Monte Carlo estimate of the U(2) two-copy average over the Haar U(2)s
+    of one-qubit gate tapes, at most ``MC_CHUNK`` per tape.
 
     Returns (M, sigma) with sigma the largest per-entry standard error of
     the mean.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
+    # Row s of x holds u (x) u flattened, entry (A, B); the Gram sums are
+    # indexed ((A, B), (C, D)) and reordered to ((A, C), (B, D)) at the end.
     acc = np.zeros((16, 16), dtype=complex)
     acc2 = np.zeros((16, 16))
-    done = 0
-    while done < sample_count:
-        n = min(MC_CHUNK, sample_count - done)
-        u = haar_u2_batch(rng, n)
-        uu = np.einsum("sab,scd->sacbd", u, u).reshape(n, 4, 4)
-        m = np.einsum("sab,scd->sacbd", uu, uu.conj()).reshape(n, 16, 16)
-        acc += m.sum(axis=0)
-        acc2 += (m.real ** 2 + m.imag ** 2).sum(axis=0)
-        done += n
+    for start in range(0, sample_count, MC_CHUNK):
+        u = draw_tape([rng], 1, min(MC_CHUNK, sample_count - start), 1.0).matrices()[0]
+        x = np.einsum("sab,scd->sacbd", u, u).reshape(-1, 16)
+        p = x.real ** 2 + x.imag ** 2
+        acc += x.T @ x.conj()
+        acc2 += p.T @ p
+    acc, acc2 = (a.reshape((4,) * 4).transpose(0, 2, 1, 3).reshape(16, 16)
+                 for a in (acc, acc2))
     mean = acc / sample_count
     var = np.maximum(acc2 / sample_count - np.abs(mean) ** 2, 0.0)
     sigma = math.sqrt(float(var.max()) / sample_count)

@@ -1,17 +1,22 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ucesim
 from ucesim.cue_ref import sample_haar_unitary
+from ucesim.gateset import draw_tape
 from ucesim.moment_operator import (
     CNOT_HI_CTRL,
     CNOT_LO_CTRL,
+    MC_CHUNK,
     build_moment_operator,
     embed_four_qubit_operator,
     exact_two_copy_average,
-    haar_u2_batch,
     mc_two_copy_average,
     spectral_gap,
 )
@@ -24,12 +29,41 @@ def two_copy_tensor(w):
 
 
 def test_embed_matches_direct_kron_both_slots():
-    u = haar_u2_batch(np.random.default_rng(0), 1)[0]
+    u = sample_haar_unitary(2, np.random.default_rng(0))
     m16 = np.kron(np.kron(u, u), np.kron(u.conj(), u.conj()))
     upper = two_copy_tensor(np.kron(u, np.eye(2)))
     lower = two_copy_tensor(np.kron(np.eye(2), u))
     assert np.allclose(embed_four_qubit_operator(m16, (0, 2, 4, 6)), upper, atol=1e-13)
     assert np.allclose(embed_four_qubit_operator(m16, (1, 3, 5, 7)), lower, atol=1e-13)
+
+
+def test_mc_average_is_the_mean_of_its_tape_draws():
+    # More than one batch: the Gram sums, their reorder and the batching
+    # against the per-sample definition, on the U(2)s of one tape drawn
+    # from the same seed (rng.random fills in order across calls).
+    n = MC_CHUNK + 3
+    mean, sigma = mc_two_copy_average(n, np.random.default_rng(8))
+    u = draw_tape([np.random.default_rng(8)], 1, n, 1.0).matrices()[0]
+    m = np.array([two_copy_tensor(w) for w in u])
+    assert np.max(np.abs(mean - m.mean(axis=0))) < 1e-15
+    var = (np.abs(m) ** 2).mean(axis=0) - np.abs(m.mean(axis=0)) ** 2
+    assert sigma == pytest.approx(math.sqrt(var.max() / n), rel=1e-12)
+
+
+def test_mc_average_does_not_depend_on_blas_threads():
+    # The average's bytes are the same at 1 and 2 BLAS threads. The gap
+    # is not: eigvalsh rounds differently with the thread count.
+    code = ("import sys, numpy as np\n"
+            "from ucesim.moment_operator import mc_two_copy_average\n"
+            "m, s = mc_two_copy_average(10_000, np.random.default_rng(0))\n"
+            "sys.stdout.buffer.write(m.tobytes() + np.float64(s).tobytes())\n")
+    src = os.path.dirname(os.path.dirname(ucesim.__file__))
+    outs = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                           env={**os.environ, "PYTHONPATH": src,
+                                "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert len(outs[0]) == 16 * 16 * 16 + 8
+    assert outs[0] == outs[1]
 
 
 def test_exact_average_agrees_with_monte_carlo():
@@ -64,6 +98,8 @@ def test_mc_gap_close_to_exact():
     gap, multiplicity = spectral_gap(g, sigma=sigma)
     assert multiplicity == 2
     assert abs(gap - REFERENCE_GAP) < 0.01
+    exact_gap, _ = spectral_gap(build_moment_operator(exact=True)[0])
+    assert abs(gap - exact_gap) <= 4 * sigma  # within 4 computed standard errors
 
 
 def test_mc_operator_nearly_hermitian_before_symmetrization():
