@@ -326,6 +326,7 @@ def cmd_gap(args) -> int:
         "multiplicity": multiplicity,
         "samples": 0 if args.exact else args.samples,
         "sigma_estimate": sigma,
+        "stream_version": STREAM_VERSION,
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gateset import GateTape, check_checkpoints, check_n_q
 
-# Up to this qubit count a chunk of realizations advances as one (R, N)
+# Up to this qubit count a batch of realizations advances as one (R, N)
 # block; above it the per-column kernels are faster (measured crossover, see
 # ROADMAP, "Measurements that the code points to").
 BLOCK_MAX_N_Q = 9

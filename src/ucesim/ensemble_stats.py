@@ -13,6 +13,7 @@ blocks of columns. A scalar statistic's sum over a column is one number, the
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -184,10 +185,19 @@ class Histogram:
         return self.counts / self.total
 
     def cue_masses(self) -> np.ndarray:
-        masses = np.empty(self.bin_count + 1)
-        masses[0] = cue_bin_mass(-math.inf, self.l_min, self.N)
-        masses[1:] = cue_bin_mass(self.edges[:-1], self.edges[1:], self.N)
-        return masses
+        """CUE masses of the underflow and regular bins (read-only)."""
+        return _cue_masses(self.N)
+
+
+@functools.cache
+def _cue_masses(N: int) -> np.ndarray:
+    """``Histogram(N).cue_masses()``, computed once per N."""
+    hist = Histogram(N)
+    masses = np.empty(hist.bin_count + 1)
+    masses[0] = cue_bin_mass(-math.inf, hist.l_min, N)
+    masses[1:] = cue_bin_mass(hist.edges[:-1], hist.edges[1:], N)
+    masses.flags.writeable = False
+    return masses
 
 
 def log_intensities(state: StateColumn) -> np.ndarray:

@@ -29,6 +29,8 @@ MAX_N_Q = 24
 STREAM_VERSION = 2
 # Uniforms per tape row: kind, qubit/control, target, alpha, psi, chi, xi.
 TAPE_COLUMNS = 7
+# Realizations whose uniforms draw_tape holds at once.
+DRAW_ROWS = 64
 
 
 def check_n_q(n_q: int):
@@ -150,26 +152,43 @@ class GateTape:
 def draw_tape(rngs, n_q: int, n_g: int, p_g: float = 0.5) -> GateTape:
     """Tape of n_g gates for each generator in ``rngs``, one realization each.
 
-    Each realization takes one ``rng.random((n_g, 7))`` call; row g holds
+    Each realization takes one ``rng.random((n_g, 7))`` draw; row g holds
     the uniforms of gate g: kind (U(2) if < p_g, always for n_q = 1),
     qubit or control, target (a uniform pick among the other n_q - 1
     qubits), then alpha, psi, chi (2*pi times their uniforms) and
     phi = arcsin(sqrt(xi)) of a Haar U(2).
     Drawing more gates extends the tape without changing its prefix.
+    The tape's arrays are allocated once and filled ``DRAW_ROWS``
+    realizations at a time, so the uniforms held are one such block.
     """
     if n_q < 1:
         raise ValueError("n_q must be >= 1")
     if n_g < 0:
         raise ValueError("n_g must be >= 0")
-    u = np.stack([rng.random((n_g, TAPE_COLUMNS)) for rng in rngs])
-    is_u2 = u[..., 0] < p_g if n_q > 1 else np.ones(u.shape[:2], dtype=bool)
-    qubit = (u[..., 1] * n_q).astype(np.intp)
-    target = (u[..., 2] * (n_q - 1)).astype(np.intp)
-    target += target >= qubit
-    angles = np.concatenate([u[..., 3:6] * TWO_PI, np.arcsin(np.sqrt(u[..., 6:]))], axis=-1)
-    angles *= is_u2[..., None]
-    return GateTape(n_q=n_q, is_u2=is_u2, qubit=qubit,
-                    target=np.where(is_u2, qubit, target), angles=angles)
+    rngs = list(rngs)
+    if not rngs:
+        raise ValueError("need at least one generator")
+    rows = len(rngs)
+    is_u2 = np.ones((rows, n_g), dtype=bool)
+    qubit = np.empty((rows, n_g), dtype=np.intp)
+    target = np.empty((rows, n_g), dtype=np.intp)
+    angles = np.empty((rows, n_g, 4))
+    uniforms = np.empty((min(rows, DRAW_ROWS), n_g, TAPE_COLUMNS))
+    for lo in range(0, rows, DRAW_ROWS):
+        u = uniforms[:min(DRAW_ROWS, rows - lo)]
+        for rng, row in zip(rngs[lo:lo + DRAW_ROWS], u):
+            rng.random(out=row)
+        rs = np.s_[lo:lo + len(u)]
+        if n_q > 1:
+            np.less(u[..., 0], p_g, out=is_u2[rs])
+        qubit[rs] = u[..., 1] * n_q
+        target[rs] = u[..., 2] * (n_q - 1)
+        target[rs] += target[rs] >= qubit[rs]
+        np.copyto(target[rs], qubit[rs], where=is_u2[rs])
+        angles[rs, :, :3] = u[..., 3:6] * TWO_PI
+        angles[rs, :, 3:] = np.arcsin(np.sqrt(u[..., 6:]))
+        angles[rs] *= is_u2[rs, :, None]
+    return GateTape(n_q=n_q, is_u2=is_u2, qubit=qubit, target=target, angles=angles)
 
 
 def sample_gate(rng: np.random.Generator, n_q: int, p_g: float) -> GateTape:

@@ -1,16 +1,18 @@
 """Deterministic (worker-count independent) ensemble convergence runs.
 
-Realizations are partitioned into fixed-size chunks regardless of the worker
-count. A chunk draws one gate tape row per realization and folds the blocks
-of columns that ``iter_checkpoints`` yields (``fold_block``) into one
-``Histogram`` per checkpoint for pl and, per checkpoint and scalar
-statistic, the ``math.fsum`` of the per-column sums, whose term count
-``StatisticKind.terms`` fixes. ``run_ensemble`` merges the chunks with ``+=``
-(a ``Histogram`` adds integer bin counts, a list gains the chunk sum), takes
-one more ``fsum`` over the chunk sums and divides it by terms(N) * n_r.
-Integer counts and correctly rounded sums do not depend on the order in
-which chunks arrive, so every output bit is the same for 1 or 8 workers; the
-fixed chunk size is the only grouping.
+Realizations are partitioned into fixed-size chunks of ``CHUNK_SIZE``
+regardless of the worker count, and the chunks into batches of whole chunks,
+the unit of work of the walk and the pool. A batch draws one gate tape row
+per realization and folds the blocks of columns that ``iter_checkpoints``
+yields (``fold_block``) into one ``Histogram`` per checkpoint for pl and,
+per checkpoint and scalar statistic, one ``math.fsum`` of the per-column
+sums of each chunk, whose term count ``StatisticKind.terms`` fixes.
+``run_ensemble`` merges the batches with ``+=`` (a ``Histogram`` adds
+integer bin counts, a list gains the chunk sums), takes one more ``fsum``
+over the chunk sums and divides it by terms(N) * n_r. Integer counts and
+correctly rounded sums do not depend on the order in which batches arrive
+or on how chunks are batched, so every output bit is the same for 1 or 8
+workers; the fixed chunk size is the only grouping.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 
-from .column_sim import iter_checkpoints
+from .column_sim import BLOCK_GROUP, iter_checkpoints
 from .ensemble_stats import (
     Histogram,
     StatisticKind,
@@ -29,15 +31,17 @@ from .ensemble_stats import (
 from .gateset import EnsembleConfig, draw_tape, realization_rng
 
 CHUNK_SIZE = 64
+# Most gates on one batch's tape (about 3 MiB), unless one chunk has more.
+TAPE_GATES = 4 * BLOCK_GROUP
 GRID_START = 2
 GRID_RATIO = math.sqrt(2.0)
 GRID_MAX_MULT = 40
 
 
 def _run_chunk(args) -> list:
-    """Fold realizations [start, stop) into one {label: accumulator} per
-    checkpoint: a Histogram for pl, a list holding the chunk's one
-    fsum-reduced sum for each scalar statistic."""
+    """Fold realizations [start, stop), a batch of whole chunks, into one
+    {label: accumulator} per checkpoint: a Histogram for pl, a list holding
+    one fsum-reduced sum per chunk for each scalar statistic."""
     config, stats, start, stop = args
     folds = [{s.label: Histogram(1 << config.n_q) if s.kind == "pl" else [] for s in stats}
              for _ in config.checkpoints]
@@ -48,12 +52,14 @@ def _run_chunk(args) -> list:
     for fold in folds:
         for s in stats:
             if s.kind != "pl":
-                fold[s.label] = [math.fsum(fold[s.label])]
+                sums = fold[s.label]
+                fold[s.label] = [math.fsum(sums[i:i + CHUNK_SIZE])
+                                 for i in range(0, len(sums), CHUNK_SIZE)]
     return folds
 
 
 def _merge(partials) -> list:
-    """Merge chunk folds in chunk order with ``+=``: a Histogram adds bin
+    """Merge batch folds in batch order with ``+=``: a Histogram adds bin
     counts, a list gains the chunk sums for one final fsum."""
     partials = iter(partials)
     merged = next(partials)
@@ -77,14 +83,21 @@ def run_ensemble(config: EnsembleConfig, statistics, workers: int = 1) -> dict:
     for s in stats:
         s.check_column(n)
     n_r = config.resolved_n_r()
-    chunk_args = [(config, stats, start, min(start + CHUNK_SIZE, n_r))
-                  for start in range(0, n_r, CHUNK_SIZE)]
+    workers = max(1, workers)
+    chunks = -(-n_r // CHUNK_SIZE)
+    # A batch's tape stays within TAPE_GATES, and there are at least
+    # min(workers, chunks) batches, so that every worker gets one.
+    per_batch = max(1, min(TAPE_GATES // (CHUNK_SIZE * max(1, config.max_gates)),
+                           -(-chunks // workers)))
+    step = per_batch * CHUNK_SIZE
+    batch_args = [(config, stats, start, min(start + step, n_r))
+                  for start in range(0, n_r, step)]
 
-    if workers <= 1 or len(chunk_args) == 1:
-        folds = _merge(map(_run_chunk, chunk_args))
+    if workers == 1 or len(batch_args) == 1:
+        folds = _merge(map(_run_chunk, batch_args))
     else:
-        with multiprocessing.get_context().Pool(min(workers, len(chunk_args))) as pool:
-            folds = _merge(pool.imap(_run_chunk, chunk_args))
+        with multiprocessing.get_context().Pool(min(workers, len(batch_args))) as pool:
+            folds = _merge(pool.imap(_run_chunk, batch_args))
 
     curves = {}
     for s in stats:

@@ -347,7 +347,7 @@ def test_gap_json_schema_and_determinism(tmp_path, capsys):
     capsys.readouterr()
     assert read(out1) == read(out2)
     report = json.loads(read(out1))
-    assert set(report) == {"gap", "multiplicity", "samples", "sigma_estimate"}
+    assert set(report) == {"gap", "multiplicity", "samples", "sigma_estimate", "stream_version"}
     assert report["multiplicity"] == 2
     assert report["samples"] == 15000
 
@@ -364,7 +364,8 @@ def test_gap_stdout_is_pinned(capsys):
         assert run(["gap", *argv]) == 0, argv
         assert capsys.readouterr().out == (
             f'{{\n  "gap": {gap},\n  "multiplicity": 2,\n  "samples": {samples},\n'
-            f'  "sigma_estimate": {sigma}\n}}\n'), argv
+            f'  "sigma_estimate": {sigma},\n'
+            f'  "stream_version": 2\n}}\n'), argv
 
 
 def test_gap_exact_flag(tmp_path, capsys):

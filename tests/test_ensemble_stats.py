@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ucesim.column_sim import BLOCK_GROUP, StateColumn, initial_column, simulate_first_column
-from ucesim.cue_ref import cue_correlator, cue_moment, sample_haar_first_columns
+from ucesim.cue_ref import cue_bin_mass, cue_correlator, cue_moment, sample_haar_first_columns
 from ucesim.ensemble_stats import (
     ROW_PIECE,
     Histogram,
@@ -119,6 +119,16 @@ def test_histogram_rejects_nan():
 def test_histogram_cue_masses_sum_to_one():
     for n in (4, 16, 1024):
         assert abs(Histogram(n).cue_masses().sum() - 1.0) < 1e-12
+
+
+def test_cue_masses_are_computed_once_per_n_and_read_only():
+    masses = Histogram(16).cue_masses()
+    assert Histogram(16).cue_masses() is masses
+    assert not masses.flags.writeable
+    hist = Histogram(16)
+    direct = cue_bin_mass(np.array([-math.inf, *hist.edges[:-1]]),
+                          np.array([hist.l_min, *hist.edges[1:]]), 16)
+    assert masses.tobytes() == direct.tobytes()
 
 
 def test_histogram_matches_cue_reference_bin_by_bin():
@@ -352,6 +362,32 @@ def test_run_ensemble_starts_no_more_workers_than_chunks(monkeypatch):
     assert pooled == run_ensemble(cfg, ["mu2"], workers=1)
 
 
+def test_batching_never_changes_bits(monkeypatch):
+    # One chunk per batch, then all chunks in one batch: the same curves. At
+    # n_q 2 a batch walks as one block and 130 realizations end in a partial
+    # chunk; at n_q 10 a batch walks column by column.
+    import ucesim.runner as runner
+
+    batches = []
+    run_chunk = runner._run_chunk
+
+    def recording_run_chunk(args):
+        batches.append(args[2:])
+        return run_chunk(args)
+
+    monkeypatch.setattr(runner, "_run_chunk", recording_run_chunk)
+    stats = ["pl", "mu2", "c2", "mu2x1"]
+    for n_q, cps in ((2, (0, 1, 5, 12, 30)), (10, (0, 3, 20))):
+        cfg = EnsembleConfig(n_q=n_q, checkpoints=cps, master_seed=9, n_r=130, sizing=None)
+        curves = []
+        for cap, expected in ((0, [(0, 64), (64, 128), (128, 130)]), (1 << 40, [(0, 130)])):
+            monkeypatch.setattr(runner, "TAPE_GATES", cap)
+            batches.clear()
+            curves.append(run_ensemble(cfg, stats))
+            assert batches == expected, (n_q, cap)
+        assert curves[0] == curves[1], n_q
+
+
 def test_run_ensemble_sizing_rule():
     cfg = EnsembleConfig(n_q=5, checkpoints=(2,), master_seed=0, sizing=(10, 8))
     assert cfg.resolved_n_r() == 10 * 2 ** 3
@@ -373,10 +409,11 @@ def test_run_ensemble_equals_reference_path():
     # oracle-checked sample_circuit -> simulate_first_column path. A scalar
     # point is the fsum of each 64-realization chunk's per-state sums, one
     # more fsum over the chunk sums, over terms(N) * n_r; within one chunk
-    # that is the public estimators' mean. (3, 130) runs chunks of 64, 64, 2.
+    # that is the public estimators' mean. (3, 130) runs chunks of 64, 64, 2;
+    # (2, 300) walks its five chunks as one batch.
     stats = ["pl", "mu2", "c2", "mu2x1"]
     cps = (0, 1, 2, 5, 12, 30)
-    for n_q, n_r in ((1, 1), (3, 1), (6, 1), (3, 64), (3, 130)):
+    for n_q, n_r in ((1, 1), (3, 1), (6, 1), (3, 64), (3, 130), (2, 300)):
         cfg = EnsembleConfig(n_q=n_q, checkpoints=cps, master_seed=11, n_r=n_r, sizing=None)
         curves = run_ensemble(cfg, stats)
         n = 1 << n_q

@@ -1,10 +1,12 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ucesim.gateset import (
+    DRAW_ROWS,
     MAX_N_Q,
     TAPE_COLUMNS,
     EnsembleConfig,
@@ -227,6 +229,36 @@ def test_draw_tape_prefix_property():
         for r in range(5):
             assert _same_tape(_part(short, rows=slice(r, r + 1)),
                               sample_circuit(3, r, n_q, 12))
+
+
+def test_draw_tape_in_blocks_equals_row_by_row_draws():
+    # 130 realizations are drawn in blocks of 64, 64 and 2; every byte
+    # (signed zeros included) equals the one-row tapes stacked.
+    for n_q, p_g in ((1, 0.5), (2, 0.5), (5, 0.3)):
+        tape = draw_tape([realization_rng(4, r) for r in range(130)], n_q, 50, p_g)
+        rows = [draw_tape([realization_rng(4, r)], n_q, 50, p_g) for r in range(130)]
+        for f in TAPE_FIELDS:
+            stacked = np.concatenate([getattr(row, f) for row in rows])
+            assert getattr(tape, f).dtype == stacked.dtype, f
+            assert getattr(tape, f).tobytes() == stacked.tobytes(), (n_q, f)
+    with pytest.raises(ValueError):
+        draw_tape([], 2, 5)
+
+
+def test_draw_tape_holds_one_block_of_uniforms():
+    # One call's peak is the tape, one DRAW_ROWS block of uniforms and the
+    # temporaries converting it, each smaller than that block.
+    rows, n_q, n_g = 130, 6, 400
+    rngs = [realization_rng(6, r) for r in range(rows)]
+    tracemalloc.start()
+    try:
+        tape = draw_tape(rngs, n_q, n_g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tape_bytes = sum(getattr(tape, f).nbytes for f in TAPE_FIELDS)
+    block_bytes = DRAW_ROWS * n_g * TAPE_COLUMNS * np.dtype(float).itemsize
+    assert peak <= tape_bytes + 2 * block_bytes, (peak, tape_bytes, block_bytes)
 
 
 def test_draw_tape_layout_and_ranges():
