@@ -4,7 +4,9 @@ Circuits mix Haar-random U(2) single-qubit gates (probability ``p_g``) with
 CNOTs on uniformly chosen ordered qubit pairs (probability ``1 - p_g``).
 All randomness flows through numpy Generators derived deterministically from
 a 64-bit master seed and a realization index, so ensembles are reproducible
-independent of execution order.
+independent of execution order. A realization's stream is numpy's
+``SeedSequence(master_seed, spawn_key=(index,))`` feeding PCG64;
+``pcg64_states`` computes those PCG64 states for a range of indices at once.
 
 A realization's gates are drawn as one ``GateTape`` row (``draw_tape``),
 and the tape is the one circuit format: ``sample_gate`` is a one-gate tape,
@@ -16,6 +18,7 @@ same draws. Every U(2) matrix comes from the one vectorized formula
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +34,16 @@ STREAM_VERSION = 2
 TAPE_COLUMNS = 7
 # Realizations whose uniforms draw_tape holds at once.
 DRAW_ROWS = 64
+
+# numpy's SeedSequence (pool of 4 uint32 words, hash and mix multipliers)
+# and PCG64's 128-bit LCG multiplier, which pcg64_states reproduces.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
 
 
 def check_n_q(n_q: int):
@@ -89,14 +102,109 @@ class EnsembleConfig:
         return max(self.checkpoints)
 
 
-def realization_rng(master_seed: int, realization_index: int) -> np.random.Generator:
-    """Deterministic per-realization random stream.
+def _hash_steps(init: int, mult: int):
+    """(xor, mult) of SeedSequence's successive hashmix calls: its hash
+    constant before and after each call's update (init * mult**k mod 2**32)."""
+    while True:
+        nxt = init * mult & _MASK32
+        yield init, nxt
+        init = nxt
 
-    SeedSequence spawn keys mix (master_seed, realization_index) so streams
-    are independent and reproducible regardless of scheduling.
+
+def _hash(value, xor: int, mult: int):
+    """One hashmix of numpy's SeedSequence on a uint32 (Python int or uint32
+    array): xor, multiply modulo 2**32, then fold the high half in."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 words."""
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _words(n: int) -> list:
+    """The little-endian uint32 words numpy assembles from an int (0 is [0])."""
+    return [n >> s & _MASK32 for s in range(0, max(1, n.bit_length()), 32)]
+
+
+def _index_spans(start: int, stop: int):
+    """[lo, hi) runs of [start, stop) whose indices have the same number of
+    uint32 words, with that number."""
+    lo = start
+    while lo < stop:
+        n_words = len(_words(lo))
+        hi = min(stop, 1 << 32 * n_words)
+        yield lo, hi, n_words
+        lo = hi
+
+
+def pcg64_states(master_seed: int, start: int, stop: int) -> list:
+    """PCG64 ``(state, inc)`` of realizations start..stop-1: the state of
+    ``np.random.default_rng(np.random.SeedSequence(entropy=master_seed,
+    spawn_key=(i,)))``, computed for the whole range at once.
+
+    SeedSequence hashes its entropy words (the seed's, zero-padded to the
+    pool size, then the index's) into a 4-word pool with hash constants that
+    do not depend on the data, so the seed's words are mixed once and the
+    index words as uint32 array operations over the range.
+    ``generate_state(4, uint64)`` of the pool is PCG64's (seed, sequence),
+    and PCG64's srandom is two steps of its 128-bit LCG.
     """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(realization_index,))
-    return np.random.default_rng(ss)
+    seed_words = _words(master_seed)
+    seed_words += [0] * (_POOL - len(seed_words))
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hash(w, *next(steps)) for w in seed_words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
+    for w in seed_words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hash(w, *next(steps)))
+    index_steps = list(itertools.islice(steps, _POOL * len(_words(stop))))
+    # generate_state reads 8 words cyclically from the pool and pairs them
+    # little-endian into uint64s: seed high, seed low, sequence high and low.
+    state_steps = list(itertools.islice(_hash_steps(_INIT_B, _MULT_B), 8))
+    states = []
+    for lo, hi, n_words in _index_spans(start, stop):
+        mixer = [np.full(hi - lo, p, dtype=np.uint32) for p in pool]
+        step = iter(index_steps)
+        for s in range(0, 32 * n_words, 32):
+            word = np.array([i >> s & _MASK32 for i in range(lo, hi)], dtype=np.uint32)
+            for dst in range(_POOL):
+                mixer[dst] = _mix(mixer[dst], _hash(word, *next(step)))
+        out = [_hash(mixer[j % _POOL], *state_steps[j]).astype(np.uint64) for j in range(8)]
+        halves = [(out[j] | out[j + 1] << np.uint64(32)).tolist() for j in range(0, 8, 2)]
+        for seed_hi, seed_lo, seq_hi, seq_lo in zip(*halves):
+            inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+            states.append((state, inc))
+    return states
+
+
+def realization_rngs(master_seed: int, start: int, stop: int):
+    """Yield the stream of each realization start..stop-1 in turn, as one
+    shared Generator re-seeded from ``pcg64_states`` before each yield: a
+    stream is valid until the next one is taken."""
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    for state, inc in pcg64_states(master_seed, start, stop):
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def realization_rng(master_seed: int, realization_index: int) -> np.random.Generator:
+    """Deterministic per-realization random stream, a Generator of its own.
+
+    It equals ``default_rng(SeedSequence(entropy=master_seed,
+    spawn_key=(realization_index,)))``, so streams are independent and
+    reproducible regardless of scheduling.
+    """
+    return next(realization_rngs(master_seed, realization_index, realization_index + 1))
 
 
 def u2_matrices(alpha, psi, chi, phi) -> np.ndarray:
@@ -149,8 +257,13 @@ class GateTape:
         return m
 
 
-def draw_tape(rngs, n_q: int, n_g: int, p_g: float = 0.5) -> GateTape:
+def draw_tape(rngs, n_q: int, n_g: int, p_g: float = 0.5, rows: int | None = None) -> GateTape:
     """Tape of n_g gates for each generator in ``rngs``, one realization each.
+
+    ``rngs`` is read lazily, one generator per row just before its draw, so
+    it may yield one shared Generator re-seeded per realization
+    (``realization_rngs``); an iterable without a length gives its count as
+    ``rows``.
 
     Each realization takes one ``rng.random((n_g, 7))`` draw; row g holds
     the uniforms of gate g: kind (U(2) if < p_g, always for n_q = 1),
@@ -165,10 +278,11 @@ def draw_tape(rngs, n_q: int, n_g: int, p_g: float = 0.5) -> GateTape:
         raise ValueError("n_q must be >= 1")
     if n_g < 0:
         raise ValueError("n_g must be >= 0")
-    rngs = list(rngs)
-    if not rngs:
+    if rows is None:
+        rows = len(rngs)
+    if rows < 1:
         raise ValueError("need at least one generator")
-    rows = len(rngs)
+    rngs = iter(rngs)
     is_u2 = np.ones((rows, n_g), dtype=bool)
     qubit = np.empty((rows, n_g), dtype=np.intp)
     target = np.empty((rows, n_g), dtype=np.intp)
@@ -176,8 +290,11 @@ def draw_tape(rngs, n_q: int, n_g: int, p_g: float = 0.5) -> GateTape:
     uniforms = np.empty((min(rows, DRAW_ROWS), n_g, TAPE_COLUMNS))
     for lo in range(0, rows, DRAW_ROWS):
         u = uniforms[:min(DRAW_ROWS, rows - lo)]
-        for rng, row in zip(rngs[lo:lo + DRAW_ROWS], u):
+        drawn = 0
+        for drawn, (row, rng) in enumerate(zip(u, rngs), 1):
             rng.random(out=row)
+        if drawn < len(u):
+            raise ValueError(f"rngs gave {lo + drawn} generators, fewer than rows={rows}")
         rs = np.s_[lo:lo + len(u)]
         if n_q > 1:
             np.less(u[..., 0], p_g, out=is_u2[rs])

@@ -28,7 +28,7 @@ from .ensemble_stats import (
     hellinger_distance,
     relative_deviation,
 )
-from .gateset import EnsembleConfig, draw_tape, realization_rng
+from .gateset import EnsembleConfig, draw_tape, realization_rngs
 
 CHUNK_SIZE = 64
 # Most gates on one batch's tape (about 3 MiB), unless one chunk has more.
@@ -45,8 +45,8 @@ def _run_chunk(args) -> list:
     config, stats, start, stop = args
     folds = [{s.label: Histogram(1 << config.n_q) if s.kind == "pl" else [] for s in stats}
              for _ in config.checkpoints]
-    rngs = (realization_rng(config.master_seed, r) for r in range(start, stop))
-    tape = draw_tape(rngs, config.n_q, config.max_gates, config.p_g)
+    rngs = realization_rngs(config.master_seed, start, stop)
+    tape = draw_tape(rngs, config.n_q, config.max_gates, config.p_g, rows=stop - start)
     for k, block in iter_checkpoints(tape, config.checkpoints):
         fold_block(stats, block, folds[k])
     for fold in folds:

@@ -27,8 +27,10 @@ def saturation_floor(points) -> float:
     pts = list(points)
     if len(pts) < 4:
         raise ValueError("need at least 4 points to estimate the floor")
-    tail = max(1, math.ceil(len(pts) / 4))
-    return float(np.median([d for _, d in pts[-tail:]]))
+    tail = sorted(d for _, d in pts[-max(1, math.ceil(len(pts) / 4)):])
+    mid = len(tail) // 2
+    # np.median's value, without the numpy.ma import its first call makes.
+    return float(tail[mid] if len(tail) % 2 else (tail[mid - 1] + tail[mid]) / 2)
 
 
 def n_star(points, eps: float, guard_factor: float = 2.0) -> int | None:

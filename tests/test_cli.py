@@ -2,10 +2,13 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ucesim
 from ucesim import cli
 from ucesim.gateset import STREAM_VERSION
 
@@ -17,6 +20,14 @@ def read(path):
 
 def run(argv):
     return cli.main(argv)
+
+
+def run_python(args, **env):
+    """Run ``python args`` on this package in a new interpreter with
+    ``env`` added to the environment; returns the completed process."""
+    src = os.path.dirname(os.path.dirname(ucesim.__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src, **env})
 
 
 def test_converge_writes_curves_and_manifest(tmp_path):
@@ -352,17 +363,20 @@ def test_gap_json_schema_and_determinism(tmp_path, capsys):
     assert report["samples"] == 15000
 
 
-def test_gap_stdout_is_pinned(capsys):
+def test_gap_stdout_is_pinned():
     # The whole report of an exact and a Monte Carlo gap, byte for byte.
     # The gaps' last digits are eigvalsh rounding, which moves with the BLAS
     # thread count, so these hold for one numpy and BLAS build (numpy 2.4.6
-    # with its bundled OpenBLAS on x86-64) at its default thread count.
+    # with its bundled OpenBLAS on x86-64) at 2 threads, which each command
+    # is given in a new interpreter.
     for argv, gap, samples, sigma in (
             (["--exact"], "0.23270330772353753", 0, "0.0"),
             (["--samples", "10000", "--seed", "0"], "0.23196506016603125", 10000,
              "0.0015918511910532672")):
-        assert run(["gap", *argv]) == 0, argv
-        assert capsys.readouterr().out == (
+        proc = run_python(["-m", "ucesim.cli", "gap", *argv],
+                          OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert proc.stdout == (
             f'{{\n  "gap": {gap},\n  "multiplicity": 2,\n  "samples": {samples},\n'
             f'  "sigma_estimate": {sigma},\n'
             f'  "stream_version": 2\n}}\n'), argv
@@ -534,6 +548,24 @@ GOLDEN_NSTAR_SHA256 = {
     "fits_mu4x1.csv": "64ae61aa1e75e2596dba24b9fcae397be09e1da650aa0ed1551c8f4b294637c0",
     "stderr": "37adc7717f8b28aa5c0f2b6cba43fa9b9cac2dff871ee263424cb56bc7634b4b",
 }
+
+
+def test_converge_and_nstar_fit_do_not_import_numpy_ma(tmp_path):
+    # np.median's first call imports numpy.ma, tens of ms; the floor guard
+    # that nstar-fit applies takes its median without it.
+    code = ("import sys\n"
+            "from ucesim import cli\n"
+            "out = sys.argv[1]\n"
+            "assert cli.main(['converge', '--nq', '2,3,4', '--statistics', 'pl,mu2',\n"
+            "                 '--sizing', '10,6', '--seed', '3', '--out', out]) == 0\n"
+            "curves = [f'{out}/curve_nq{q}_mu2.csv' for q in (2, 3, 4)]\n"
+            "assert cli.main(['nstar-fit', *curves, '--ln-eps=-1,-2',\n"
+            "                 '--out', out + '/fit']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = run_python(["-c", code, str(tmp_path / "run")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    assert os.listdir(tmp_path / "run" / "fit")
 
 
 def test_nstar_fit_output_bytes_are_pinned(tmp_path, capsys):

@@ -14,7 +14,9 @@ from ucesim.gateset import (
     circuit_from_text,
     circuit_to_text,
     draw_tape,
+    pcg64_states,
     realization_rng,
+    realization_rngs,
     sample_circuit,
     sample_gate,
     sample_u2_angles,
@@ -175,6 +177,35 @@ def test_realization_rng_independent_of_order():
     assert np.array_equal(a, b)
 
 
+# Seeds of 1, 2 and 6 uint32 words (more than SeedSequence's pool of 4)
+# and indices of 1 and 2 words.
+ORACLE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**160 + 3)
+ORACLE_INDICES = (0, 1, 63, 64, 2**32 - 1, 2**32, 2**40 + 7)
+
+
+def _numpy_stream(seed, index):
+    """The oracle: numpy's own SeedSequence -> PCG64 stream."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def test_realization_streams_equal_numpy_seed_sequence():
+    for seed in ORACLE_SEEDS:
+        for index in ORACLE_INDICES:
+            want = _numpy_stream(seed, index).random(64).tobytes()
+            assert realization_rng(seed, index).random(64).tobytes() == want, (seed, index)
+    # One batch whose indices go from one uint32 word to two (and two to
+    # three): each run of equal word count is mixed as one group.
+    for seed in (0, 2**160 + 3):
+        for lo in (2**32 - 3, 2**64 - 2):
+            got = [rng.random(64).tobytes() for rng in realization_rngs(seed, lo, lo + 6)]
+            assert got == [_numpy_stream(seed, i).random(64).tobytes()
+                           for i in range(lo, lo + 6)], (seed, lo)
+    for seed in (5, 2**64 + 5):
+        want = [_numpy_stream(seed, i).bit_generator.state["state"] for i in range(130)]
+        assert pcg64_states(seed, 0, 130) == [(s["state"], s["inc"]) for s in want]
+    assert pcg64_states(5, 7, 7) == []
+
+
 def test_circuit_serialization_roundtrip():
     tape = sample_circuit(123, 4, 3, 20)
     text = circuit_to_text(tape, 123, 4)
@@ -243,6 +274,29 @@ def test_draw_tape_in_blocks_equals_row_by_row_draws():
             assert getattr(tape, f).tobytes() == stacked.tobytes(), (n_q, f)
     with pytest.raises(ValueError):
         draw_tape([], 2, 5)
+
+
+def test_draw_tape_reads_a_one_shot_generator_lazily():
+    # One shared Generator re-seeded before each realization's draw, as the
+    # runner does, gives the tape of a list of independent generators.
+    shared = np.random.Generator(np.random.PCG64())
+
+    def reseeded(seed, rows):
+        for r in range(rows):
+            shared.bit_generator.state = _numpy_stream(seed, r).bit_generator.state
+            yield shared
+
+    for n_q, p_g, rows in ((1, 0.5, 3), (4, 0.3, 130)):
+        want = draw_tape([_numpy_stream(8, r) for r in range(rows)], n_q, 40, p_g)
+        for rngs in (reseeded(8, rows), realization_rngs(8, 0, rows)):
+            got = draw_tape(rngs, n_q, 40, p_g, rows=rows)
+            for f in TAPE_FIELDS:
+                assert getattr(got, f).tobytes() == getattr(want, f).tobytes(), (n_q, f)
+    with pytest.raises(ValueError, match="at least one generator"):
+        draw_tape(reseeded(8, 0), 2, 5, rows=0)
+    for given, rows in ((2, 3), (70, 71)):  # short in the first or second block
+        with pytest.raises(ValueError, match=f"gave {given} generators, fewer than rows={rows}"):
+            draw_tape(reseeded(8, given), 2, 5, rows=rows)
 
 
 def test_draw_tape_holds_one_block_of_uniforms():

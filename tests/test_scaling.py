@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ucesim.scaling import MODELS, fit_model, n_star
+from ucesim.scaling import MODELS, fit_model, n_star, saturation_floor
 
 
 def test_n_star_interpolates_crossing():
@@ -114,3 +114,15 @@ def test_fits_per_eps_group_shape_and_f2_stability():
     assert max(a2) - min(a2) < 0.05  # a2 stable across eps on f2 data
     a1 = [fits["f1", ln_eps][0] for ln_eps in (-1.0, -2.0, -3.0)]
     assert a1[0] < a1[1] < a1[2]  # f1 slope absorbs ln(1/eps)
+
+
+def test_saturation_floor_is_numpys_median_of_the_tail():
+    # The floor's median is taken in plain Python, bit-equal to np.median
+    # on tails of odd and even length.
+    rng = np.random.default_rng(3)
+    for tail in (1, 2, 3, 4, 7, 10, 31, 64):
+        for _ in range(20):
+            d = (rng.random(tail) * 10.0 ** rng.integers(-8, 3)).tolist()
+            points = [(g, 1.0) for g in range(3 * tail)]
+            points += [(3 * tail + g, v) for g, v in enumerate(d)]
+            assert saturation_floor(points) == float(np.median(d)), d
