@@ -75,11 +75,12 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(data, dict):
         raise UsageError(f"{path}: expected a JSON object")
     if "config" in data and isinstance(data["config"], dict):
-        # An emitted manifest: rerun it only on the draw layout it was made with.
+        # An emitted manifest: rerun it only on the draw layout and column
+        # arithmetic it was made with.
         version = data.get("stream_version")
         if version != STREAM_VERSION:
             found = "no stream_version" if version is None else f"stream_version {version!r}"
-            raise UsageError(f"{path}: manifest has {found}, but this ucesim draws "
+            raise UsageError(f"{path}: manifest has {found}, but this ucesim makes "
                              f"stream_version {STREAM_VERSION}; its curves would not "
                              "be reproduced")
         data = data["config"]

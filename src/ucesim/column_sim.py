@@ -7,7 +7,10 @@ little-endian: qubit q occupies bit q of the row index.
 Realizations are read from a ``GateTape``. Small columns advance a whole
 block of realizations per gate with one uniform step (``block_step``);
 large ones go one column at a time through the in-place kernels, which walk
-the column in cache-sized slabs and allocate O(slab), not O(column).
+the column in cache-sized slabs and allocate O(slab), not O(column). The
+column walk first multiplies each run of U(2)s on one qubit into one 2x2
+matrix (``fuse_u2_runs``), so it applies fewer, and its columns agree with
+the block walk's to rounding, not bit for bit.
 
 A dense full-matrix oracle is provided for small qubit counts as an
 independent cross-check.
@@ -24,7 +27,8 @@ from .gateset import GateTape, check_checkpoints, check_n_q
 
 # Up to this qubit count a batch of realizations advances as one (R, N)
 # block; above it the per-column kernels are faster (measured crossover, see
-# ROADMAP, "Measurements that the code points to").
+# ROADMAP, "Measurements that the code points to"; measured before the column
+# walk fused U(2) runs).
 BLOCK_MAX_N_Q = 9
 # Most amplitudes (rows x N) that walk_block steps at once, and amplitude
 # pairs per slab of the column kernels: 2**14 complex values are 256 KiB per
@@ -63,8 +67,9 @@ def _slabs(view: np.ndarray, size: int):
             yield from _slabs(row, size)
 
 
-def apply_single_qubit(state: StateColumn, q: int, m: np.ndarray) -> StateColumn:
-    """Apply a 2x2 matrix on qubit q, in place.
+def apply_single_qubit(state: StateColumn, q: int, m: np.ndarray | list) -> StateColumn:
+    """Apply a 2x2 matrix ``m`` (an array, or nested lists of its entries)
+    on qubit q, in place.
 
     Each new amplitude is a linear combination of the pair that differs in
     bit q only. The column, viewed as (rows, 2, 2**q), is walked in slabs of
@@ -82,7 +87,7 @@ def apply_single_qubit(state: StateColumn, q: int, m: np.ndarray) -> StateColumn
     """
     if not 0 <= q < state.n_q:
         raise IndexError(f"qubit {q} out of range for n_q={state.n_q}")
-    m00, m01, m10, m11 = m.ravel().tolist()
+    (m00, m01), (m10, m11) = m.tolist() if isinstance(m, np.ndarray) else m
     slab = BLOCK_GROUP
     a = state.amplitudes.reshape(-1, 2, 1 << q)
     if q < 3 and a.shape[0] << q > slab:
@@ -184,19 +189,51 @@ def walk_block(tape: GateTape, checkpoints):
         yield k, amps
 
 
+def _matmul2(a, b):
+    """The 2x2 product a @ b of nested lists, in Python complex arithmetic
+    (its bits do not depend on the BLAS build)."""
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return [[a00 * b00 + a01 * b10, a00 * b01 + a01 * b11],
+            [a10 * b00 + a11 * b10, a10 * b01 + a11 * b11]]
+
+
+def fuse_u2_runs(rows) -> list:
+    """The gates ``rows`` (is_u2, qubit, target, m) with each run of U(2)s
+    on one qubit multiplied into one (m_last ... m_first), m as nested lists.
+
+    A run lasts while no gate between its U(2)s touches the qubit: a CNOT
+    with it as control or target ends it, and the run is applied just
+    before that CNOT; runs still open at the end follow in the order they
+    were opened. The gates returned make the same operator as ``rows``, up
+    to rounding.
+    """
+    gates, open_runs = [], {}
+    for u2, q, t, m in rows:
+        if u2:
+            run = open_runs.get(q)
+            open_runs[q] = m if run is None else _matmul2(m, run)
+        else:
+            gates.extend((True, s, s, open_runs.pop(s)) for s in (q, t) if s in open_runs)
+            gates.append((False, q, t, None))
+    gates.extend((True, s, s, m) for s, m in open_runs.items())
+    return gates
+
+
 def walk_columns(tape: GateTape, checkpoints):
     """Advance the realizations of ``tape`` one after another through the
     in-place slab kernels, yielding (checkpoint index, live (1, N) view of
-    the one column held). U(2) matrices are built per realization."""
+    the one column held). Between two checkpoints, each run of U(2)s on one
+    qubit is applied as one matrix (``fuse_u2_runs``)."""
     for r in range(tape.is_u2.shape[0]):
         rows = zip(tape.is_u2[r].tolist(), tape.qubit[r].tolist(),
-                   tape.target[r].tolist(), tape.matrices(r))
+                   tape.target[r].tolist(), map(np.ndarray.tolist, tape.matrices(r)))
         state = initial_column(tape.n_q)
         done = 0
         for k, cp in enumerate(checkpoints):
-            for u2, q, t, mg in islice(rows, cp - done):
+            for u2, q, t, m in fuse_u2_runs(islice(rows, cp - done)):
                 if u2:
-                    apply_single_qubit(state, q, mg)
+                    apply_single_qubit(state, q, m)
                 else:
                     apply_cnot(state, q, t)
             done = cp

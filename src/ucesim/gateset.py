@@ -13,7 +13,8 @@ and the tape is the one circuit format: ``sample_gate`` is a one-gate tape,
 a circuit (``sample_circuit``) is a one-row tape, and the runner reads the
 same draws. Every U(2) matrix comes from the one vectorized formula
 ``u2_matrices``.
-``STREAM_VERSION`` names this draw layout in run manifests.
+``STREAM_VERSION`` names this draw layout, and the column walk's arithmetic
+on it, in run manifests.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ TWO_PI = 2.0 * math.pi
 
 # Memory guard: 2**24 complex amplitudes = 256 MiB.
 MAX_N_Q = 24
-# Version of the random-draw layout; any change to it changes output bits.
-STREAM_VERSION = 2
+# Version of the random-draw layout and of the column walk's arithmetic on
+# it (3: column_sim fuses runs of same-qubit U(2)s); a change to either
+# changes output bits.
+STREAM_VERSION = 3
 # Uniforms per tape row: kind, qubit/control, target, alpha, psi, chi, xi.
 TAPE_COLUMNS = 7
 # Realizations whose uniforms draw_tape holds at once.

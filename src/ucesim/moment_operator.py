@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .gateset import draw_tape
+from .gateset import draw_tape, u2_matrices
 
 # 4x4 CNOTs on a qubit pair |hi, lo> (index = 2*hi + lo).
 CNOT_HI_CTRL = np.eye(4)[[0, 1, 3, 2]]
@@ -63,7 +63,9 @@ def mc_two_copy_average(sample_count: int, rng: np.random.Generator):
     acc = np.zeros((16, 16), dtype=complex)
     acc2 = np.zeros((16, 16))
     for start in range(0, sample_count, MC_CHUNK):
-        u = draw_tape([rng], 1, min(MC_CHUNK, sample_count - start), 1.0).matrices()[0]
+        # A one-qubit tape has U(2) rows only.
+        tape = draw_tape([rng], 1, min(MC_CHUNK, sample_count - start), 1.0)
+        u = u2_matrices(*tape.angles[0].T)
         x = np.einsum("sab,scd->sacbd", u, u).reshape(-1, 16)
         p = x.real ** 2 + x.imag ** 2
         acc += x.T @ x.conj()
@@ -97,8 +99,9 @@ def build_moment_operator(sample_count: int = 100_000,
                           exact: bool = False):
     """Assemble the 256x256 moment operator of the gate set.
 
-    Returns (G, sigma); sigma is a per-entry standard-error estimate of the
-    Monte Carlo noise (0 on the exact path). CNOT terms are always exact.
+    Returns (G, sigma); sigma is a per-entry noise scale of the two 16x16
+    Haar averages (0 on the exact path), not a standard error of the gap.
+    CNOT terms are always exact.
     """
     if exact:
         m_hi = m_lo = exact_two_copy_average()

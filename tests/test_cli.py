@@ -62,7 +62,8 @@ def test_manifest_with_another_stream_version_is_rejected(tmp_path, capsys):
                 "--checkpoints", "2,4", "--seed", "9", "--out", out]) == 0
     manifest = json.loads(read(os.path.join(out, "manifest.json")))
     assert manifest["stream_version"] == STREAM_VERSION
-    for version, found in ((None, "no stream_version"), (1, "stream_version 1")):
+    for version, found in ((None, "no stream_version"), (1, "stream_version 1"),
+                           (2, "stream_version 2")):
         if version is None:
             del manifest["stream_version"]
         else:
@@ -379,7 +380,7 @@ def test_gap_stdout_is_pinned():
         assert proc.stdout == (
             f'{{\n  "gap": {gap},\n  "multiplicity": 2,\n  "samples": {samples},\n'
             f'  "sigma_estimate": {sigma},\n'
-            f'  "stream_version": 2\n}}\n'), argv
+            f'  "stream_version": 3\n}}\n'), argv
 
 
 def test_gap_exact_flag(tmp_path, capsys):
@@ -415,7 +416,7 @@ def test_oracle_check_haar_estimates_are_pinned(capsys):
     # rounding of the dense products, so this digest holds for one numpy
     # and BLAS build (numpy 2.4.6 with its bundled OpenBLAS on x86-64).
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "f127aac99a7d822ed0faac479ab0439602032ff2f17957229e674caee57d8f13")
+        "3f44252b7eefbaa765febe73ec746f95e5cb669c1b5ba6288c77524e07538fcf")
 
 
 def test_oracle_check_detects_injected_fault(monkeypatch, capsys):
@@ -492,14 +493,14 @@ GOLDEN_SHA256 = {
     "curve_nq9_c3.csv": "753d216f18d8750a1d103e581e6655e2fbb909360f158d9c95ff6eef01f56fab",
     "curve_nq9_mu4x1.csv": "7490ea5fec8f75a0d98f3a530308d9fe2a17c0c3706a06b4a1f2583b54fc1304",
     "curve_nq10_pl.csv": "7480949a21feeaf12ae716303626f6ff5e9813e3143af5508dff229c227958b5",
-    "curve_nq10_mu2.csv": "13f7b2ac0711288541b7ba1798f54ad762eb4ae5c1cfd7bbc11e5cd656745273",
-    "curve_nq10_c3.csv": "2322a9da4b9536410f4b757dc6d25d6e231846b5294011a3709f82cdd95bad66",
-    "curve_nq10_mu4x1.csv": "3a91702ade225713229060beac6e6f2100b7ebe4d5a277f246190b6fe78ba7cd",
+    "curve_nq10_mu2.csv": "d7dc9df3b52654eaff8cad6ccef10a4cead8268e66fb7983805910eb916419a2",
+    "curve_nq10_c3.csv": "1e247017c9378499efce3c3b5f1b5d9037d52690a820f6663193d161b5a2bb6f",
+    "curve_nq10_mu4x1.csv": "01ecd546c704055f36e93d75ca5adefbf6ae5e3b31a8e7871bfd37607e7b713b",
     "curve_nq11_pl.csv": "e12e90c4592598b3fcd10417e518b626c3db984e4652efef9047a3e923e0dfd4",
-    "curve_nq11_mu2.csv": "dfc048233ec83d1c4f47829379c2098738b12efb96bb0aa31d5b10fa1a2eb88b",
-    "curve_nq11_c3.csv": "652ec38ea6dae59c04e8ee696e17899e732608ab844db48a06f177ae9ab22e2a",
-    "curve_nq11_mu4x1.csv": "46758b99f756ce662c49fefb8b9a79df6bef6aea01623a8a501a5f851e91717d",
-    "manifest.json": "70529d09b9417e904f25bda55b06eb480b27b5146847a1d72c90f4d4c2a4e226",
+    "curve_nq11_mu2.csv": "b52e970417a3d4c8cbd416bf9d1c1892505164a709cea033a14f3515a4f625b1",
+    "curve_nq11_c3.csv": "ab2f8af3324f6bf8b17ebd00fdb3d4a1200640cf5a0f7f9f50ddd195a8ae967a",
+    "curve_nq11_mu4x1.csv": "4cd877e7a5001493794108fdf03f55ade78d096432d1e95aac44623d195b656f",
+    "manifest.json": "f7ae6de7a7cad1c91750af4333e9c01f7c69d21801a6451843d332ae1454fe70",
 }
 
 

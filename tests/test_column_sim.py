@@ -13,6 +13,7 @@ from ucesim.column_sim import (
     apply_single_qubit,
     block_step,
     dense_unitary_oracle,
+    fuse_u2_runs,
     gate_matrix_full,
     initial_column,
     iter_checkpoints,
@@ -247,11 +248,30 @@ def test_n_q_and_checkpoint_rules_have_one_owner():
                 make()
 
 
+def fused_kernel_columns(tape, checkpoints):
+    """Each realization's column at each checkpoint, from the view kernels
+    driven here over ``fuse_u2_runs`` of each checkpoint segment."""
+    columns = []
+    for r in range(tape.is_u2.shape[0]):
+        rows = list(zip(tape.is_u2[r].tolist(), tape.qubit[r].tolist(),
+                        tape.target[r].tolist(), tape.matrices(r).tolist()))
+        state = initial_column(tape.n_q)
+        for lo, hi in zip((0, *checkpoints), checkpoints):
+            for u2, q, t, m in fuse_u2_runs(rows[lo:hi]):
+                if u2:
+                    apply_single_qubit(state, q, np.array(m))
+                else:
+                    apply_cnot(state, q, t)
+            columns.append(state.amplitudes.copy())
+    return columns
+
+
 def test_block_step_equals_view_kernels_and_dense_oracle():
     # The same tape through the uniform block step (driven gate by gate
-    # here, and through walk_block) and through the view kernels (gate by
-    # gate, and through walk_columns): identical columns, and each equal to
-    # the dense oracle's first column.
+    # here, and through walk_block) and through the view kernels gate by
+    # gate: identical columns, each equal to the dense oracle's first
+    # column. walk_columns fuses U(2) runs: it equals the kernels driven
+    # over its fused gates, and the dense oracle to rounding.
     for n_q in range(1, 9):
         n = 1 << n_q
         index = np.arange(n)
@@ -275,15 +295,17 @@ def test_block_step_equals_view_kernels_and_dense_oracle():
                         apply_cnot(state, int(sel[r, 0]), int(part[r, 0]))
             ((_, walked),) = walk_block(tape, [tape.n_g])
             columns = [b[0].copy() for _, b in walk_columns(tape, [tape.n_g])]
+            fused = fused_kernel_columns(tape, [tape.n_g])
             for r, state in enumerate(states):
                 assert np.array_equal(block[r], state.amplitudes), (n_q, rows, r)
                 assert np.array_equal(walked[r], state.amplitudes), (n_q, rows, r)
-                assert np.array_equal(columns[r], state.amplitudes), (n_q, rows, r)
+                assert np.array_equal(columns[r], fused[r]), (n_q, rows, r)
                 if r < 4:
                     row = GateTape(n_q, tape.is_u2[r:r + 1], tape.qubit[r:r + 1],
                                    tape.target[r:r + 1], tape.angles[r:r + 1])
                     oracle = dense_unitary_oracle(row)[:, 0]
                     assert np.max(np.abs(block[r] - oracle)) < 1e-12, (n_q, rows, r)
+                    assert np.max(np.abs(columns[r] - oracle)) < 1e-12, (n_q, rows, r)
 
 
 def test_walk_columns_equals_walk_block_above_the_crossover():
@@ -293,8 +315,77 @@ def test_walk_columns_equals_walk_block_above_the_crossover():
     blocks = {k: b.copy() for k, b in walk_block(tape, cps)}
     columns = [(k, b[0].copy()) for k, b in walk_columns(tape, cps)]
     assert len(columns) == 3 * len(cps)
+    # The column walk fuses U(2) runs, so the two agree to rounding: the
+    # bound oracle-check holds each walk to.
     for i, (k, column) in enumerate(columns):
-        assert np.array_equal(column, blocks[k][i // len(cps)]), (i, k)
+        assert np.max(np.abs(column - blocks[k][i // len(cps)])) <= 1e-12, (i, k)
+
+
+def random_u2s(seed, count):
+    """``count`` Haar U(2)s as nested lists, as ``fuse_u2_runs`` reads them."""
+    return draw_tape([realization_rng(seed, 0)], 1, count, 1.0).matrices()[0].tolist()
+
+
+def test_fuse_u2_runs_merges_across_other_qubits_in_product_order():
+    a, b, c, d = random_u2s(3, 4)
+    rows = [(True, 0, 0, a), (True, 1, 1, b), (False, 1, 2, None),
+            (True, 0, 0, c), (False, 2, 1, None), (True, 0, 0, d)]
+    gates = fuse_u2_runs(rows)
+    assert [g[:3] for g in gates] == [(True, 1, 1), (False, 1, 2), (False, 2, 1), (True, 0, 0)]
+    assert gates[0][3] is b
+    product = np.array(d) @ np.array(c) @ np.array(a)
+    assert np.max(np.abs(np.array(gates[3][3]) - product)) < 1e-15
+    # The other order is another matrix, so the check above sees the order.
+    assert np.max(np.abs(np.array(a) @ np.array(c) @ np.array(d) - product)) > 1e-3
+
+
+def test_fuse_u2_runs_closes_a_run_at_a_cnot_on_its_qubit():
+    a, b, c = random_u2s(4, 3)
+    for control, target in ((0, 1), (1, 0)):
+        rows = [(True, 0, 0, a), (False, control, target, None), (True, 0, 0, b)]
+        assert fuse_u2_runs(rows) == [(True, 0, 0, a), (False, control, target, None),
+                                      (True, 0, 0, b)]
+    # Both ends open: each is applied before the CNOT, control first.
+    rows = [(True, 0, 0, a), (True, 1, 1, b), (True, 2, 2, c), (False, 1, 0, None)]
+    assert fuse_u2_runs(rows) == [(True, 1, 1, b), (True, 0, 0, a), (False, 1, 0, None),
+                                  (True, 2, 2, c)]
+
+
+def test_walk_columns_closes_a_run_at_each_checkpoint(monkeypatch):
+    import ucesim.column_sim as cs
+    calls = []
+    real = cs.apply_single_qubit
+
+    def counted(state, q, m):
+        calls.append(q)
+        return real(state, q, m)
+
+    monkeypatch.setattr(cs, "apply_single_qubit", counted)
+    tape = draw_tape([realization_rng(6, 0)], 1, 4, 1.0)
+    for cps, applied in (([4], 1), ([2, 4], 2), ([1, 2, 3, 4], 4)):
+        calls.clear()
+        columns = [b[0].copy() for _, b in walk_columns(tape, cps)]
+        assert len(calls) == applied, cps
+        for column, expected in zip(columns, fused_kernel_columns(tape, cps)):
+            assert np.array_equal(column, expected), cps
+
+
+def test_walk_columns_equals_kernels_over_its_fused_gates():
+    for n_q in (3, 10, 12):
+        tape = draw_tape([realization_rng(n_q, r) for r in range(2)], n_q, 20 * n_q)
+        cps = [1, 7, 10 * n_q, 20 * n_q]
+        columns = [b[0].copy() for _, b in walk_columns(tape, cps)]
+        expected = fused_kernel_columns(tape, cps)
+        assert len(columns) == len(expected) == 2 * len(cps)
+        for i, (column, want) in enumerate(zip(columns, expected)):
+            assert np.array_equal(column, want), (n_q, i)
+
+
+def test_fused_column_keeps_unit_norm():
+    n_q = 12
+    tape = draw_tape([realization_rng(12, 0)], n_q, 40 * n_q)
+    ((_, column),) = walk_columns(tape, [tape.n_g])
+    assert abs(np.sum(np.abs(column[0]) ** 2) - 1.0) < 1e-12
 
 
 def test_simulate_matches_dense_oracle():
