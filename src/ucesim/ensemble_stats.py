@@ -228,9 +228,10 @@ def fold_block(stats, block: np.ndarray, fold: dict) -> dict:
     The one loop that cuts columns into pieces of at most ``BLOCK_GROUP``
     amplitudes, so no temporary scales with N: runs of as many whole rows as
     fit, in one piece N wide, or else one row in pieces of ``ROW_PIECE``.
-    Per piece, y = N |a|^2 serves every statistic: pl bins log y, a scalar
-    statistic takes its ``state_sum`` over each row. A column's sum is its one
-    piece sum, or else the ``math.fsum`` of its piece sums.
+    Per piece, y = N |a|^2 serves every statistic: pl bins log y of the
+    nonzero y and counts the zeros as underflow, a scalar statistic takes its
+    ``state_sum`` over each row. A column's sum is its one piece sum, or
+    else the ``math.fsum`` of its piece sums.
     """
     rows, n = block.shape
     width = n if n <= BLOCK_GROUP else ROW_PIECE
@@ -242,8 +243,13 @@ def fold_block(stats, block: np.ndarray, fold: dict) -> dict:
             y = intensities(run[:, lo:lo + width], n)
             for s in stats:
                 if s.kind == "pl":
-                    with np.errstate(divide="ignore"):
-                        fold[s.label].add(np.log(y))
+                    # ln 0 = -inf lands in the underflow bin: count the zeros
+                    # there and bin the rest (NaN is nonzero, so it raises).
+                    hist, flat = fold[s.label], y.ravel()
+                    zeros = flat.size - np.count_nonzero(flat)
+                    hist.add(np.log(flat[flat != 0] if zeros else flat))
+                    hist.counts[0] += zeros
+                    hist.total += zeros
                 else:
                     parts[s.label].append(s.state_sum(y, lo))
         for label, p in parts.items():

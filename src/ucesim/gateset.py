@@ -12,7 +12,7 @@ A realization's gates are drawn as one ``GateTape`` row (``draw_tape``),
 and the tape is the one circuit format: ``sample_gate`` is a one-gate tape,
 a circuit (``sample_circuit``) is a one-row tape, and the runner reads the
 same draws. Every U(2) matrix comes from the one vectorized formula
-``u2_matrices``.
+``u2_matrices``, the phase times ``su2_entries``.
 ``STREAM_VERSION`` names this draw layout, and the column walk's arithmetic
 on it, in run manifests.
 """
@@ -210,17 +210,28 @@ def realization_rng(master_seed: int, realization_index: int) -> np.random.Gener
     return next(realization_rngs(master_seed, realization_index, realization_index + 1))
 
 
-def u2_matrices(alpha, psi, chi, phi) -> np.ndarray:
-    """Matrices e^{i alpha} [[c e^{i psi}, s e^{i chi}], [-s e^{-i chi}, c e^{-i psi}]],
-    c = cos phi and s = sin phi, for arrays of angles: shape (..., 2, 2)."""
-    alpha, psi, chi, phi = np.broadcast_arrays(alpha, psi, chi, phi)
+def su2_entries(psi, chi, phi, out=None) -> np.ndarray:
+    """Entries [[c e^{i psi}, s e^{i chi}], [-s e^{-i chi}, c e^{-i psi}]],
+    c = cos phi and s = sin phi, of the phase-free part e^{-i alpha} u of
+    ``u2_matrices``, for arrays of angles: shape (2, 2, ...), each entry
+    contiguous unless written to ``out``."""
+    psi, chi, phi = np.broadcast_arrays(psi, chi, phi)
     c, s = np.cos(phi), np.sin(phi)
     e_psi, e_chi = np.exp(1j * psi), np.exp(1j * chi)
+    e = np.empty((2, 2) + phi.shape, dtype=complex) if out is None else out
+    e[0, 0] = c * e_psi
+    e[0, 1] = s * e_chi
+    e[1, 0] = -s * e_chi.conj()
+    e[1, 1] = c * e_psi.conj()
+    return e
+
+
+def u2_matrices(alpha, psi, chi, phi) -> np.ndarray:
+    """Matrices e^{i alpha} ``su2_entries(psi, chi, phi)`` for arrays of
+    angles, the entries moved last: shape (..., 2, 2)."""
+    alpha, psi, chi, phi = np.broadcast_arrays(alpha, psi, chi, phi)
     u = np.empty(phi.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = c * e_psi
-    u[..., 0, 1] = s * e_chi
-    u[..., 1, 0] = -s * e_chi.conj()
-    u[..., 1, 1] = c * e_psi.conj()
+    su2_entries(psi, chi, phi, out=np.moveaxis(u, (-2, -1), (0, 1)))
     u *= np.exp(1j * alpha)[..., None, None]
     return u
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .gateset import draw_tape, u2_matrices
+from .gateset import draw_tape, su2_entries
 
 # 4x4 CNOTs on a qubit pair |hi, lo> (index = 2*hi + lo).
 CNOT_HI_CTRL = np.eye(4)[[0, 1, 3, 2]]
@@ -53,25 +53,44 @@ def mc_two_copy_average(sample_count: int, rng: np.random.Generator):
     """Monte Carlo estimate of the U(2) two-copy average over the Haar U(2)s
     of one-qubit gate tapes, at most ``MC_CHUNK`` per tape.
 
+    The phase e^{i alpha} of each u cancels, so only the entries v of
+    e^{-i alpha} u are built (``su2_entries``). v (x) v has 10 distinct
+    entries v_A v_C, A <= C over flat indices A = 2a + b; their Gram sums
+    are expanded to the 16 entries of u (x) u once, at the end.
+
     Returns (M, sigma) with sigma the largest per-entry standard error of
     the mean.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    # Row s of x holds u (x) u flattened, entry (A, B); the Gram sums are
-    # indexed ((A, B), (C, D)) and reordered to ((A, C), (B, D)) at the end.
-    acc = np.zeros((16, 16), dtype=complex)
-    acc2 = np.zeros((16, 16))
+    # Row k of x holds v_A v_C for the k-th pair (A, C) = (ka[k], kc[k]).
+    ka, kc = np.triu_indices(4)
+    acc = np.zeros((10, 10), dtype=complex)
+    acc2 = np.zeros((10, 10))
+    # One batch's work arrays, allocated once: arrays this large, allocated
+    # afresh, would fault in new pages on every batch.
+    xb, xcb = np.empty((2, 10, MC_CHUNK), dtype=complex)
+    pb, qb = np.empty((2, 10, MC_CHUNK))
     for start in range(0, sample_count, MC_CHUNK):
+        n = min(MC_CHUNK, sample_count - start)
         # A one-qubit tape has U(2) rows only.
-        tape = draw_tape([rng], 1, min(MC_CHUNK, sample_count - start), 1.0)
-        u = u2_matrices(*tape.angles[0].T)
-        x = np.einsum("sab,scd->sacbd", u, u).reshape(-1, 16)
-        p = x.real ** 2 + x.imag ** 2
-        acc += x.T @ x.conj()
-        acc2 += p.T @ p
-    acc, acc2 = (a.reshape((4,) * 4).transpose(0, 2, 1, 3).reshape(16, 16)
-                 for a in (acc, acc2))
+        tape = draw_tape([rng], 1, n, 1.0)
+        v = su2_entries(*tape.angles[0, :, 1:].T).reshape(4, n)
+        x, xc, p, q = xb[:, :n], xcb[:, :n], pb[:, :n], qb[:, :n]
+        for i, r in enumerate((0, 4, 7, 9)):  # rows (i, i), ..., (i, 3)
+            np.multiply(v[i], v[i:], out=x[r:r + 4 - i])
+        np.square(x.real, out=p)
+        p += np.square(x.imag, out=q)
+        acc += x @ np.conjugate(x, out=xc).T
+        acc2 += p @ p.T
+    # Entry (a, c, b, d) of u (x) u is row pair[2a + b, 2c + d] of x. The
+    # sums, indexed ((A, B), (C, D)), are reordered to ((A, C), (B, D)).
+    pair = np.empty((4, 4), dtype=np.intp)
+    pair[ka, kc] = pair[kc, ka] = np.arange(10)
+    a, c, b, d = np.indices((2,) * 4).reshape(4, 16)
+    rows = pair[2 * a + b, 2 * c + d]
+    acc, acc2 = (s[np.ix_(rows, rows)].reshape((4,) * 4).transpose(0, 2, 1, 3)
+                 .reshape(16, 16) for s in (acc, acc2))
     mean = acc / sample_count
     var = np.maximum(acc2 / sample_count - np.abs(mean) ** 2, 0.0)
     sigma = math.sqrt(float(var.max()) / sample_count)

@@ -372,7 +372,7 @@ def test_gap_stdout_is_pinned():
     # is given in a new interpreter.
     for argv, gap, samples, sigma in (
             (["--exact"], "0.23270330772353753", 0, "0.0"),
-            (["--samples", "10000", "--seed", "0"], "0.23196506016603125", 10000,
+            (["--samples", "10000", "--seed", "0"], "0.23196506016603102", 10000,
              "0.0015918511910532672")):
         proc = run_python(["-m", "ucesim.cli", "gap", *argv],
                           OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")

@@ -494,6 +494,31 @@ def test_a_piece_of_a_split_row_is_scaled_by_its_column_length():
     assert fold[f"mu3x{n - 1}"] == (last[-1:] ** 3).tolist()
 
 
+def test_fold_counts_exact_zeros_as_underflow_without_binning_them():
+    # Columns with exact zeros, one a whole block and one a row cut into
+    # pieces (the first of them all zero): counts, totals and sums equal
+    # binning every entry, with ln 0 = -inf in the underflow bin.
+    rng = np.random.default_rng(16)
+    for n_q, rows, zero in ((10, 3, np.s_[:, ::3]), (15, 1, np.s_[:, :ROW_PIECE + 7])):
+        n = 1 << n_q
+        block = sample_haar_first_columns(rows, n, rng)
+        block[zero] = 0
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        stats = [StatisticKind("pl"), StatisticKind("mu", 2)]
+        fold = fold_block(stats, block, {"pl": Histogram(n), "mu2": []})
+        ref = Histogram(n)
+        for a in block:
+            ref.add(log_intensities(StateColumn(n_q, a)))
+        assert np.array_equal(fold["pl"].counts, ref.counts), n_q
+        assert fold["pl"].total == ref.total == rows * n
+        assert fold["pl"].counts[0] >= block[zero].size
+        pieces = [intensities(block[:, lo:lo + ROW_PIECE], n) ** 2 for lo in range(0, n, ROW_PIECE)]
+        assert fold["mu2"] == [math.fsum(col) for col in zip(*(y.sum(axis=1) for y in pieces))]
+        block[0, -1] = math.nan  # a NaN is still binned, and raises
+        with pytest.raises(ValueError, match="NaN"):
+            fold_block(stats, block, {"pl": Histogram(n), "mu2": []})
+
+
 def test_one_fold_allocates_under_1_5_mib_at_any_n_q():
     # Nothing that fold_block allocates scales with N.
     rng = np.random.default_rng(14)

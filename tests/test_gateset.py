@@ -20,6 +20,8 @@ from ucesim.gateset import (
     sample_circuit,
     sample_gate,
     sample_u2_angles,
+    su2_entries,
+    u2_matrices,
     u2_matrix,
 )
 
@@ -332,6 +334,18 @@ def test_draw_tape_layout_and_ranges():
     # every ordered pair is reachable
     pairs = set(zip(tape.qubit[0][cnot].tolist(), tape.target[0][cnot].tolist()))
     assert len(pairs) == n_q * (n_q - 1)
+
+
+def test_su2_entries_times_the_phase_are_u2_matrices_byte_for_byte():
+    tape = draw_tape([realization_rng(4, r) for r in range(2)], 3, 200, 1.0)
+    for angles in (tape.angles.reshape(-1, 4), np.array([0.3, 1.2, 5.9, 0.7]),
+                   np.zeros(4), np.array([-2.5, 7.0, -0.1, 1.1])):
+        alpha, psi, chi, phi = np.moveaxis(angles, -1, 0)  # 0-d for one gate
+        e = su2_entries(psi, chi, phi)
+        assert e.shape == (2, 2) + np.shape(phi)
+        u = np.moveaxis(e * np.exp(1j * alpha), (0, 1), (-2, -1))
+        assert u.tobytes() == u2_matrices(alpha, psi, chi, phi).tobytes()
+        assert u.tobytes() == u2_matrices(*angles.T).tobytes()
 
 
 def test_tape_matrices_are_u2_matrix_and_roundtrip_gates():

@@ -50,6 +50,21 @@ def test_mc_average_is_the_mean_of_its_tape_draws():
     assert sigma == pytest.approx(math.sqrt(var.max() / n), rel=1e-12)
 
 
+def test_mc_average_of_one_batch_equals_its_16_row_gram_sums():
+    # The 10 distinct rows of v (x) v, expanded at the end, against Gram
+    # sums of all 16 entries of u (x) u (phase included) on one batch.
+    n = MC_CHUNK
+    mean, sigma = mc_two_copy_average(n, np.random.default_rng(9))
+    u = draw_tape([np.random.default_rng(9)], 1, n, 1.0).matrices()[0]
+    x = np.einsum("sab,scd->sacbd", u, u).reshape(n, 16)
+    p = np.abs(x) ** 2
+    m, m2 = ((s / n).reshape((4,) * 4).transpose(0, 2, 1, 3).reshape(16, 16)
+             for s in (x.T @ x.conj(), p.T @ p))
+    assert np.max(np.abs(mean - m)) < 1e-15
+    var = np.maximum(m2 - np.abs(m) ** 2, 0.0)
+    assert sigma == pytest.approx(math.sqrt(var.max() / n), rel=1e-12)
+
+
 def test_mc_average_does_not_depend_on_blas_threads():
     # The average's bytes are the same at 1 and 2 BLAS threads. The gap
     # is not: eigvalsh rounds differently with the thread count.
