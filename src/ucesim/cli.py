@@ -321,7 +321,7 @@ def cmd_gap(args) -> int:
                          f"got {args.samples}")
     rng = np.random.default_rng(args.seed)
     g, sigma = build_moment_operator(args.samples, rng, exact=args.exact)
-    gap, multiplicity = spectral_gap(g, sigma=sigma)
+    gap, multiplicity = spectral_gap(g)
     report = {
         "gap": gap,
         "multiplicity": multiplicity,

@@ -11,8 +11,8 @@ independent of execution order. A realization's stream is numpy's
 A realization's gates are drawn as one ``GateTape`` row (``draw_tape``),
 and the tape is the one circuit format: ``sample_gate`` is a one-gate tape,
 a circuit (``sample_circuit``) is a one-row tape, and the runner reads the
-same draws. Every U(2) matrix comes from the one vectorized formula
-``u2_matrices``, the phase times ``su2_entries``.
+same draws. Haar angles come from ``haar_angles`` and every U(2) matrix
+from the one vectorized formula ``u2_matrices``, phase times ``su2_entries``.
 ``STREAM_VERSION`` names this draw layout, and the column walk's arithmetic
 on it, in run manifests.
 """
@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-TWO_PI = 2.0 * math.pi
 
 # Memory guard: 2**24 complex amplitudes = 256 MiB.
 MAX_N_Q = 24
@@ -241,6 +239,16 @@ def u2_matrix(angles) -> np.ndarray:
     return u2_matrices(*angles)
 
 
+def haar_angles(u, out=None) -> np.ndarray:
+    """Angles (alpha, psi, chi, phi) of Haar U(2)s from their uniforms
+    (..., 4): alpha, psi, chi = 2*pi*u and phi = arcsin(sqrt(xi)), the last
+    four of a tape row's seven (written to ``out`` if given)."""
+    out = np.empty(np.shape(u)) if out is None else out
+    np.multiply(u[..., :3], 2.0 * math.pi, out=out[..., :3])
+    np.arcsin(np.sqrt(u[..., 3:]), out=out[..., 3:])
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class GateTape:
     """The gates of R realizations as (R, n_g) arrays, one row per realization.
@@ -282,8 +290,8 @@ def draw_tape(rngs, n_q: int, n_g: int, p_g: float = 0.5, rows: int | None = Non
     Each realization takes one ``rng.random((n_g, 7))`` draw; row g holds
     the uniforms of gate g: kind (U(2) if < p_g, always for n_q = 1),
     qubit or control, target (a uniform pick among the other n_q - 1
-    qubits), then alpha, psi, chi (2*pi times their uniforms) and
-    phi = arcsin(sqrt(xi)) of a Haar U(2).
+    qubits), then the four uniforms that ``haar_angles`` turns into the
+    angles of a Haar U(2).
     Drawing more gates extends the tape without changing its prefix.
     The tape's arrays are allocated once and filled ``DRAW_ROWS``
     realizations at a time, so the uniforms held are one such block.
@@ -316,8 +324,7 @@ def draw_tape(rngs, n_q: int, n_g: int, p_g: float = 0.5, rows: int | None = Non
         target[rs] = u[..., 2] * (n_q - 1)
         target[rs] += target[rs] >= qubit[rs]
         np.copyto(target[rs], qubit[rs], where=is_u2[rs])
-        angles[rs, :, :3] = u[..., 3:6] * TWO_PI
-        angles[rs, :, 3:] = np.arcsin(np.sqrt(u[..., 6:]))
+        haar_angles(u[..., 3:], out=angles[rs])
         angles[rs] *= is_u2[rs, :, None]
     return GateTape(n_q=n_q, is_u2=is_u2, qubit=qubit, target=target, angles=angles)
 
@@ -329,8 +336,8 @@ def sample_gate(rng: np.random.Generator, n_q: int, p_g: float) -> GateTape:
 
 
 def sample_u2_angles(rng: np.random.Generator) -> np.ndarray:
-    """Draw (alpha, psi, chi, phi) of a Haar-distributed U(2) matrix (one tape row)."""
-    return sample_gate(rng, 1, 1.0).angles[0, 0]
+    """Draw (alpha, psi, chi, phi) of a Haar U(2) from one tape row's uniforms."""
+    return haar_angles(rng.random(TAPE_COLUMNS)[3:])
 
 
 def sample_circuit(master_seed: int, realization_index: int, n_q: int, n_g: int,
@@ -341,56 +348,11 @@ def sample_circuit(master_seed: int, realization_index: int, n_q: int, n_g: int,
 
 def circuit_to_text(tape: GateTape, master_seed: int, realization_index: int) -> str:
     """Line-oriented serialization of a one-row tape under a header naming
-    its seed lineage; floats carry 17 significant digits."""
+    its seed lineage, from which ``sample_circuit`` rebuilds it; floats carry
+    17 significant digits."""
     lines = [f"nq={tape.n_q} seed={master_seed} idx={realization_index}"]
     for u2, q, target, a in zip(tape.is_u2[0].tolist(), tape.qubit[0].tolist(),
                                 tape.target[0].tolist(), tape.angles[0].tolist()):
         lines.append("U2 q=%d alpha=%.17g psi=%.17g chi=%.17g phi=%.17g" % (q, *a)
                      if u2 else f"CNOT c={q} t={target}")
     return "\n".join(lines) + "\n"
-
-
-def _parse_gate_line(line: str, n_q: int) -> tuple:
-    """(is_u2, qubit, target, angles) of one gate line, checked."""
-    kind, *fields = line.split()
-    kv = dict(f.split("=", 1) for f in fields)
-    if kind == "U2":
-        q = t = int(kv["q"])
-        angles = tuple(float(kv[k]) for k in ("alpha", "psi", "chi", "phi"))
-        alpha, psi, chi, phi = angles
-        if not (0.0 <= alpha < TWO_PI and 0.0 <= psi < TWO_PI
-                and 0.0 <= chi < TWO_PI and 0.0 <= phi <= math.pi / 2):
-            raise ValueError("alpha, psi, chi must be in [0, 2*pi) and phi in "
-                             f"[0, pi/2]: {line!r}")
-    elif kind == "CNOT":
-        q, t = int(kv["c"]), int(kv["t"])
-        angles = (0.0, 0.0, 0.0, 0.0)
-        if q == t:
-            raise ValueError(f"CNOT control and target must differ: {line!r}")
-    else:
-        raise ValueError(f"unknown gate line: {line!r}")
-    if not (0 <= q < n_q and 0 <= t < n_q):
-        raise ValueError(f"qubit index out of range for nq={n_q}: {line!r}")
-    return kind == "U2", q, t, angles
-
-
-def circuit_from_text(text: str) -> tuple[GateTape, int, int]:
-    """Inverse of circuit_to_text: (one-row tape, master_seed,
-    realization_index); raises ValueError on malformed text."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty circuit text")
-    try:
-        header = dict(kv.split("=", 1) for kv in lines[0].split())
-        n_q, seed, index = int(header["nq"]), int(header["seed"]), int(header["idx"])
-        if n_q < 1:
-            raise ValueError(f"nq={n_q} must be >= 1")
-        rows = [_parse_gate_line(ln, n_q) for ln in lines[1:]]
-    except KeyError as exc:
-        raise ValueError(f"circuit text lacks field {exc}") from None
-    is_u2, qubit, target, angles = zip(*rows) if rows else ((), (), (), ())
-    n_g = len(rows)
-    return GateTape(n_q=n_q, is_u2=np.array(is_u2, dtype=bool).reshape(1, n_g),
-                    qubit=np.array(qubit, dtype=np.intp).reshape(1, n_g),
-                    target=np.array(target, dtype=np.intp).reshape(1, n_g),
-                    angles=np.array(angles, dtype=float).reshape(1, n_g, 4)), seed, index

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .gateset import draw_tape, su2_entries
+from .gateset import TAPE_COLUMNS, haar_angles, su2_entries
 
 # 4x4 CNOTs on a qubit pair |hi, lo> (index = 2*hi + lo).
 CNOT_HI_CTRL = np.eye(4)[[0, 1, 3, 2]]
@@ -50,8 +50,9 @@ def exact_two_copy_average() -> np.ndarray:
 
 
 def mc_two_copy_average(sample_count: int, rng: np.random.Generator):
-    """Monte Carlo estimate of the U(2) two-copy average over the Haar U(2)s
-    of one-qubit gate tapes, at most ``MC_CHUNK`` per tape.
+    """Monte Carlo estimate of the U(2) two-copy average over Haar U(2)s
+    drawn as a one-qubit gate tape draws them, at most ``MC_CHUNK`` per
+    batch: ``haar_angles`` of the last four of each row's seven uniforms.
 
     The phase e^{i alpha} of each u cancels, so only the entries v of
     e^{-i alpha} u are built (``su2_entries``). v (x) v has 10 distinct
@@ -73,9 +74,8 @@ def mc_two_copy_average(sample_count: int, rng: np.random.Generator):
     pb, qb = np.empty((2, 10, MC_CHUNK))
     for start in range(0, sample_count, MC_CHUNK):
         n = min(MC_CHUNK, sample_count - start)
-        # A one-qubit tape has U(2) rows only.
-        tape = draw_tape([rng], 1, n, 1.0)
-        v = su2_entries(*tape.angles[0, :, 1:].T).reshape(4, n)
+        angles = haar_angles(rng.random((n, TAPE_COLUMNS))[:, 3:])
+        v = su2_entries(*angles[:, 1:].T).reshape(4, n)
         x, xc, p, q = xb[:, :n], xcb[:, :n], pb[:, :n], qb[:, :n]
         for i, r in enumerate((0, 4, 7, 9)):  # rows (i, i), ..., (i, 3)
             np.multiply(v[i], v[i:], out=x[r:r + 4 - i])
@@ -139,21 +139,21 @@ def build_moment_operator(sample_count: int = 100_000,
     return g, sigma
 
 
-def spectral_gap(g: np.ndarray, sigma: float = 0.0) -> tuple[float, int]:
+def spectral_gap(g: np.ndarray) -> tuple[float, int]:
     """(gap, multiplicity) of the symmetrized operator: the number of
     modulus-1 eigenvalues and 1 minus the largest magnitude below them.
 
-    Eigenvalues with magnitude above 1 - tau, tau = 10 * sigma (floored at
-    1e-9), count as modulus-1; the leading one always counts. The gap is 0.0
-    when every eigenvalue counts.
+    Eigenvalues with magnitude above 1 - 1e-9 count as modulus-1, also for
+    a Monte Carlo G, whose unit eigenvectors every W (x) W (x) conj(W) (x)
+    conj(W) fixes; the leading one always counts. The gap is 0.0 when every
+    eigenvalue counts.
     """
     if g.shape[0] != g.shape[1]:
         raise ValueError("G must be square")
     gs = 0.5 * (g + g.conj().T)
     w = np.linalg.eigvalsh(gs)
     mags = np.sort(np.abs(w))[::-1]
-    tau = max(10.0 * sigma, 1e-9)
-    multiplicity = max(1, int(np.count_nonzero(mags > 1.0 - tau)))
+    multiplicity = max(1, int(np.count_nonzero(mags > 1.0 - 1e-9)))
     if multiplicity >= mags.size:
         return 0.0, multiplicity
     return 1.0 - float(mags[multiplicity]), multiplicity

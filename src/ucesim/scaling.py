@@ -2,7 +2,7 @@
 
 A convergence curve is its list of (n_g, D) points. From each we extract the
 smallest gate count at which the distance first drops to eps (linearly
-interpolated between checkpoints and rounded up), guarded against the
+interpolated in ln D between checkpoints and rounded up), guarded against the
 finite-sample saturation floor. The resulting (n_q, n*) pairs are fitted by
 closed-form least squares to three two-parameter models:
 
@@ -40,6 +40,8 @@ def n_star(points, eps: float, guard_factor: float = 2.0) -> int | None:
     None signals eps < guard_factor * saturation_floor(points), which is
     only checked on curves of 4 or more points (too close to the floor;
     increase n_r or eps), or that the curve never crosses eps.
+    The crossing is interpolated in ln D, as D decays about exponentially
+    (a chord in D crosses late), or in D where it lands on D = 0.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -53,7 +55,10 @@ def n_star(points, eps: float, guard_factor: float = 2.0) -> int | None:
             if prev is None:
                 return max(1, int(ng))
             ng0, d0 = prev
-            x = ng0 + (d0 - eps) * (ng - ng0) / (d0 - d)
+            if d > 0:
+                x = ng0 + math.log(d0 / eps) * (ng - ng0) / math.log(d0 / d)
+            else:
+                x = ng0 + (d0 - eps) * (ng - ng0) / (d0 - d)
             return max(1, math.ceil(x))
         prev = (ng, d)
     return None

@@ -25,7 +25,6 @@ from ucesim.gateset import (
     MAX_N_Q,
     EnsembleConfig,
     GateTape,
-    circuit_from_text,
     draw_tape,
     realization_rng,
     sample_circuit,
@@ -400,8 +399,11 @@ def test_dense_oracle_empty_is_identity():
 
 
 def test_dense_oracle_single_cnot_is_permutation():
-    for text in ("nq=2 seed=0 idx=0\nCNOT c=0 t=1\n", "nq=2 seed=0 idx=0\nCNOT c=1 t=0\n"):
-        u = dense_unitary_oracle(circuit_from_text(text)[0])
+    for c, t in ((0, 1), (1, 0)):
+        tape = GateTape(n_q=2, is_u2=np.zeros((1, 1), dtype=bool),
+                        qubit=np.array([[c]]), target=np.array([[t]]),
+                        angles=np.zeros((1, 1, 4)))
+        u = dense_unitary_oracle(tape)
         assert np.array_equal(np.abs(u), np.abs(u).astype(int))
         assert np.array_equal(u.sum(axis=0).real, np.ones(4))
         assert np.array_equal(u.sum(axis=1).real, np.ones(4))

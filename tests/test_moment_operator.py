@@ -110,11 +110,21 @@ def test_exact_gap_and_multiplicity():
 def test_mc_gap_close_to_exact():
     rng = np.random.default_rng(2)
     g, sigma = build_moment_operator(20_000, rng)
-    gap, multiplicity = spectral_gap(g, sigma=sigma)
+    gap, multiplicity = spectral_gap(g)
     assert multiplicity == 2
     assert abs(gap - REFERENCE_GAP) < 0.01
     exact_gap, _ = spectral_gap(build_moment_operator(exact=True)[0])
     assert abs(gap - exact_gap) <= 4 * sigma  # within 4 computed standard errors
+
+
+def test_mc_operator_keeps_two_unit_eigenvalues():
+    # Their eigenvectors are fixed by every W (x) W (x) conj(W) (x) conj(W),
+    # so sampling noise leaves them at 1 and the fixed 1e-9 counts them.
+    for seed in range(3):
+        g, _ = build_moment_operator(10_000, np.random.default_rng(seed))
+        mags = np.sort(np.abs(np.linalg.eigvalsh(0.5 * (g + g.conj().T))))[::-1]
+        assert np.all(np.abs(mags[:2] - 1.0) < 1e-12), mags[:3]
+        assert mags[2] < 0.9
 
 
 def test_mc_operator_nearly_hermitian_before_symmetrization():
@@ -163,7 +173,7 @@ def test_full_two_qubit_haar_group_has_unit_gap():
     for _ in range(samples):
         acc += two_copy_tensor(sample_haar_unitary(4, rng))
     g = acc / samples
-    gap, multiplicity = spectral_gap(g, sigma=0.005)
+    gap, multiplicity = spectral_gap(g)
     assert multiplicity == 2
     assert gap > 0.8
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ucesim.runner import geometric_checkpoints
 from ucesim.scaling import MODELS, fit_model, n_star, saturation_floor
 
 
@@ -12,8 +13,22 @@ def test_n_star_interpolates_crossing():
     ns = n_star(points, 0.1, guard_factor=2.0)
     assert ns is not None
     assert 10 < ns <= 20
-    # exact linear interpolation: 10 + 0.1/0.15 * 10 = 16.66..., rounded up
-    assert ns == 17
+    # linear in ln D: 10 + ln(0.2/0.1) / ln(0.2/0.05) * 10 = 15 (16.66...,
+    # rounded up to 17, linear in D)
+    assert ns == 15
+
+
+def test_n_star_interpolates_in_ln_d():
+    # D = e^(-g/10) on the sqrt(2) grid crosses e^(-7.75) at g = 77.5,
+    # between checkpoints 64 and 91; a chord in D would give 86.
+    cps = geometric_checkpoints(10)
+    assert (64, 91) in zip(cps, cps[1:])
+    points = [(g, math.exp(-g / 10)) for g in cps]
+    assert n_star(points, math.exp(-7.75)) == 78
+
+
+def test_n_star_crossing_onto_zero_is_linear_in_d():
+    assert n_star([(5, 0.5), (10, 0.0)], 0.1) == 9
 
 
 def test_n_star_guard_rule():
