@@ -198,6 +198,14 @@ def cmd_converge(args) -> int:
             s.check_column(1 << min(cfg["n_q"]))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    # A repeat would run twice and overwrite its own curve files.
+    for i, nq in enumerate(cfg["n_q"]):
+        if nq in cfg["n_q"][:i]:
+            raise UsageError(f"n_q lists {nq} twice")
+    for i, s in enumerate(stats):
+        if s in stats[:i]:
+            raise UsageError(f"statistics lists {s.label} twice: "
+                             f"{cfg['statistics'][stats.index(s)]!r} and {cfg['statistics'][i]!r}")
     out_dir = args.out or os.environ.get("UCESIM_OUT", ".")
     os.makedirs(out_dir, exist_ok=True)
     for econf in configs:
@@ -358,16 +366,16 @@ def cmd_oracle_check(args) -> int:
             print(f"oracle {name} nq={nq} trial={trial} err={err:.3e} "
                   f"{'ok' if ok else 'FAIL'}")
 
-    # Estimators against Haar-sampled first columns, folded as one block: a
-    # statistic's mean is the fsum of its per-column sums over terms(N) * R.
+    # Estimators against Haar-sampled first columns, folded as one block and
+    # finished by StatisticKind.mean, as the runner finishes its chunk sums.
     rng = np.random.default_rng(args.seed)
     N = 8
     block = sample_haar_first_columns(4000, N, rng)
     stats = [StatisticKind.parse(label) for label in ("mu1", "mu2", "c2")]
-    fold = fold_block(stats, block, {s.label: [] for s in stats})
+    fold = fold_block(stats, block, {s.label: s.accumulator(N) for s in stats})
     for s in stats:
         sums = fold[s.label]
-        est, ref = math.fsum(sums) / (s.terms(N) * len(block)), s.reference(N)
+        est, ref = s.mean(sums, N, len(block)), s.reference(N)
         if s.label == "mu1":
             ok = abs(est - ref) < 1e-12
         else:

@@ -9,6 +9,8 @@ estimator, and the one loop that cuts columns into pieces of at most
 ``BLOCK_GROUP`` amplitudes; the runner and the reference means hand it
 blocks of columns. A scalar statistic's sum over a column is one number, the
 ``math.fsum`` of its sums over the pieces; ``StatisticKind.terms`` counts them.
+``StatisticKind.accumulator``, ``mean`` and ``distance`` are the one rule
+that starts an accumulator and turns it into an estimate and a D.
 """
 
 from __future__ import annotations
@@ -118,6 +120,21 @@ class StatisticKind:
             nb, k = self.terms(y.shape[-1]), self.k
             return y[..., : nb * k].reshape(*y.shape[:-1], nb, k).prod(axis=-1).sum(axis=-1)
         raise ValueError("'pl' has no per-state sum; use the histogram")
+
+    def accumulator(self, N: int):
+        """An empty ``fold_block`` accumulator: a Histogram(N) for pl, else a list."""
+        return Histogram(N) if self.kind == "pl" else []
+
+    def mean(self, sums, N: int, rows: int) -> float:
+        """Estimate over ``rows`` columns: fsum of their (chunk) sums / (terms(N) * rows)."""
+        return math.fsum(sums) / (self.terms(N) * rows)
+
+    def distance(self, acc, N: int, rows: int) -> float:
+        """D of a filled accumulator to CUE: the Hellinger distance of the pl
+        histogram, or the relative deviation of ``mean`` from ``reference``."""
+        if self.kind == "pl":
+            return hellinger_distance(acc)
+        return relative_deviation(self.mean(acc, N, rows), self.reference(N))
 
 
 class Histogram:
@@ -265,8 +282,7 @@ def mean_over_states(block: np.ndarray, stat: StatisticKind) -> float:
         raise ValueError(f"expected a non-empty (R, N) block, got shape {block.shape}")
     rows, n = block.shape
     stat.check_column(n)
-    sums = fold_block([stat], block, {stat.label: []})[stat.label]
-    return math.fsum(sums) / (stat.terms(n) * rows)
+    return stat.mean(fold_block([stat], block, {stat.label: []})[stat.label], n, rows)
 
 
 def moment_estimate(states, k: int, row: int | None = None) -> float:

@@ -19,7 +19,6 @@ on it, in run manifests.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -103,18 +102,19 @@ class EnsembleConfig:
         return max(self.checkpoints)
 
 
-def _hash_steps(init: int, mult: int):
-    """(xor, mult) of SeedSequence's successive hashmix calls: its hash
-    constant before and after each call's update (init * mult**k mod 2**32)."""
-    while True:
-        nxt = init * mult & _MASK32
-        yield init, nxt
-        init = nxt
+def _hash_steps(init: int, mult: int, first: int, count: int) -> list:
+    """(xor, mult) of SeedSequence's hashmix calls first..first+count-1: its
+    hash constant before and after each call's update, where call k's update
+    leaves init * mult**(k + 1) mod 2**32."""
+    consts = [init * pow(mult, first, 1 << 32) & _MASK32]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return list(zip(consts, consts[1:]))
 
 
 def _hash(value, xor: int, mult: int):
-    """One hashmix of numpy's SeedSequence on a uint32 (Python int or uint32
-    array): xor, multiply modulo 2**32, then fold the high half in."""
+    """One hashmix of numpy's SeedSequence on a uint32 array: xor, multiply
+    modulo 2**32, then fold the high half in."""
     value = (value ^ xor) * mult & _MASK32
     return value ^ value >> 16
 
@@ -125,9 +125,9 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _words(n: int) -> list:
-    """The little-endian uint32 words numpy assembles from an int (0 is [0])."""
-    return [n >> s & _MASK32 for s in range(0, max(1, n.bit_length()), 32)]
+def _n_words(n: int) -> int:
+    """How many uint32 words numpy assembles from an int (0 is one word)."""
+    return max(1, -(-n.bit_length() // 32))
 
 
 def _index_spans(start: int, stop: int):
@@ -135,7 +135,7 @@ def _index_spans(start: int, stop: int):
     uint32 words, with that number."""
     lo = start
     while lo < stop:
-        n_words = len(_words(lo))
+        n_words = _n_words(lo)
         hi = min(stop, 1 << 32 * n_words)
         yield lo, hi, n_words
         lo = hi
@@ -148,26 +148,18 @@ def pcg64_states(master_seed: int, start: int, stop: int) -> list:
 
     SeedSequence hashes its entropy words (the seed's, zero-padded to the
     pool size, then the index's) into a 4-word pool with hash constants that
-    do not depend on the data, so the seed's words are mixed once and the
-    index words as uint32 array operations over the range.
-    ``generate_state(4, uint64)`` of the pool is PCG64's (seed, sequence),
-    and PCG64's srandom is two steps of its 128-bit LCG.
+    do not depend on the data. The pool after the seed's words is numpy's
+    own ``SeedSequence(master_seed).pool``, made with 4 * max(4, seed words)
+    hash steps; the index words go on from there as uint32 array operations
+    over the range. ``generate_state(4, uint64)`` of the pool is PCG64's
+    (seed, sequence), and PCG64's srandom is two steps of its 128-bit LCG.
     """
-    seed_words = _words(master_seed)
-    seed_words += [0] * (_POOL - len(seed_words))
-    steps = _hash_steps(_INIT_A, _MULT_A)
-    pool = [_hash(w, *next(steps)) for w in seed_words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(steps)))
-    for w in seed_words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hash(w, *next(steps)))
-    index_steps = list(itertools.islice(steps, _POOL * len(_words(stop))))
+    pool = np.random.SeedSequence(master_seed).pool
+    index_steps = _hash_steps(_INIT_A, _MULT_A, _POOL * max(_POOL, _n_words(master_seed)),
+                              _POOL * _n_words(stop))
     # generate_state reads 8 words cyclically from the pool and pairs them
     # little-endian into uint64s: seed high, seed low, sequence high and low.
-    state_steps = list(itertools.islice(_hash_steps(_INIT_B, _MULT_B), 8))
+    state_steps = _hash_steps(_INIT_B, _MULT_B, 0, 8)
     states = []
     for lo, hi, n_words in _index_spans(start, stop):
         mixer = [np.full(hi - lo, p, dtype=np.uint32) for p in pool]

@@ -4,12 +4,12 @@ Realizations are partitioned into fixed-size chunks of ``CHUNK_SIZE``
 regardless of the worker count, and the chunks into batches of whole chunks,
 the unit of work of the walk and the pool. A batch draws one gate tape row
 per realization and folds the blocks of columns that ``iter_checkpoints``
-yields (``fold_block``) into one ``Histogram`` per checkpoint for pl and,
-per checkpoint and scalar statistic, one ``math.fsum`` of the per-column
-sums of each chunk, whose term count ``StatisticKind.terms`` fixes.
-``run_ensemble`` merges the batches with ``+=`` (a ``Histogram`` adds
-integer bin counts, a list gains the chunk sums), takes one more ``fsum``
-over the chunk sums and divides it by terms(N) * n_r. Integer counts and
+yields (``fold_block``) into each statistic's ``accumulator`` per
+checkpoint: a ``Histogram`` for pl, and for a scalar statistic one
+``math.fsum`` of the per-column sums of each chunk. ``run_ensemble`` merges
+the batches with ``+=`` (a ``Histogram`` adds integer bin counts, a list
+gains the chunk sums) and leaves the finish, the estimate and its D over
+n_r realizations, to ``StatisticKind.distance``. Integer counts and
 correctly rounded sums do not depend on the order in which batches arrive
 or on how chunks are batched, so every output bit is the same for 1 or 8
 workers; the fixed chunk size is the only grouping.
@@ -21,13 +21,7 @@ import math
 import multiprocessing
 
 from .column_sim import BLOCK_GROUP, iter_checkpoints
-from .ensemble_stats import (
-    Histogram,
-    StatisticKind,
-    fold_block,
-    hellinger_distance,
-    relative_deviation,
-)
+from .ensemble_stats import StatisticKind, fold_block
 from .gateset import EnsembleConfig, draw_tape, realization_rngs
 
 CHUNK_SIZE = 64
@@ -43,8 +37,7 @@ def _run_chunk(args) -> list:
     {label: accumulator} per checkpoint: a Histogram for pl, a list holding
     one fsum-reduced sum per chunk for each scalar statistic."""
     config, stats, start, stop = args
-    folds = [{s.label: Histogram(1 << config.n_q) if s.kind == "pl" else [] for s in stats}
-             for _ in config.checkpoints]
+    folds = [{s.label: s.accumulator(1 << config.n_q) for s in stats} for _ in config.checkpoints]
     rngs = realization_rngs(config.master_seed, start, stop)
     tape = draw_tape(rngs, config.n_q, config.max_gates, config.p_g, rows=stop - start)
     for k, block in iter_checkpoints(tape, config.checkpoints):
@@ -99,18 +92,8 @@ def run_ensemble(config: EnsembleConfig, statistics, workers: int = 1) -> dict:
         with multiprocessing.get_context().Pool(min(workers, len(batch_args))) as pool:
             folds = _merge(pool.imap(_run_chunk, batch_args))
 
-    curves = {}
-    for s in stats:
-        points = []
-        for ng, fold in zip(config.checkpoints, folds):
-            if s.kind == "pl":
-                d = hellinger_distance(fold[s.label])
-            else:
-                mean = math.fsum(fold[s.label]) / (s.terms(n) * n_r)
-                d = relative_deviation(mean, s.reference(n))
-            points.append((ng, d))
-        curves[s.label] = points
-    return curves
+    return {s.label: [(ng, s.distance(fold[s.label], n, n_r))
+                      for ng, fold in zip(config.checkpoints, folds)] for s in stats}
 
 
 def geometric_checkpoints(n_q: int) -> tuple:

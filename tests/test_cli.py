@@ -161,6 +161,9 @@ def test_converge_checks_the_whole_run_before_writing(tmp_path, capsys):
         (["--nq", "2", "--statistics", "c8"], "statistic c8: correlator order 8 exceeds N=4"),
         (["--workers", "0"], "--workers must be >= 1, got 0"),
         (["--workers", "-1"], "--workers must be >= 1, got -1"),
+        (["--nq", "3,3"], "n_q lists 3 twice"),
+        (["--statistics", "mu2,mu02"], "statistics lists mu2 twice: 'mu2' and 'mu02'"),
+        (["--statistics", "pl,mu3,pl"], "statistics lists pl twice: 'pl' and 'pl'"),
     ):
         assert run([*base, *argv, "--out", str(out)]) == 1, argv
         err = capsys.readouterr().err

@@ -322,6 +322,27 @@ def test_terms_counts_the_terms_of_a_state_sum():
         StatisticKind.parse("pl").terms(8)
 
 
+def test_accumulator_mean_and_distance_equal_the_hand_formula():
+    n, rows = 8, 300
+    block = sample_haar_first_columns(rows, n, np.random.default_rng(21))
+    y = intensities(block, n)
+    for label, terms in (("pl", None), ("mu3", n), ("c3", n // 3), ("mu2x1", 1)):
+        stat = StatisticKind.parse(label)
+        acc = stat.accumulator(n)
+        fold_block([stat], block, {label: acc})
+        if label == "pl":
+            assert isinstance(acc, Histogram) and acc.N == n and acc.total == rows * n
+            want = Histogram(n).add(np.log(y))
+            assert np.array_equal(acc.counts, want.counts)
+            assert stat.distance(acc, n, rows) == hellinger_distance(want)
+            continue
+        sums = [float(stat.state_sum(row)) for row in y]
+        assert acc == sums, label
+        mean = math.fsum(sums) / (terms * rows)
+        assert stat.mean(acc, n, rows) == mean, label
+        assert stat.distance(acc, n, rows) == relative_deviation(mean, stat.reference(n)), label
+
+
 def test_run_ensemble_worker_count_invariance():
     cfg = EnsembleConfig(n_q=3, checkpoints=(3, 6, 12, 24), master_seed=3,
                          n_r=300, sizing=None)

@@ -149,9 +149,9 @@ def test_realization_rng_independent_of_order():
     assert np.array_equal(a, b)
 
 
-# Seeds of 1, 2 and 6 uint32 words (more than SeedSequence's pool of 4)
+# Seeds of 1 to 6 uint32 words (either side of SeedSequence's pool of 4)
 # and indices of 1 and 2 words.
-ORACLE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**160 + 3)
+ORACLE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 1, 2**128 + 7, 2**160 + 3)
 ORACLE_INDICES = (0, 1, 63, 64, 2**32 - 1, 2**32, 2**40 + 7)
 
 
