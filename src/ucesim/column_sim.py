@@ -10,7 +10,10 @@ large ones go one column at a time through the in-place kernels, which walk
 the column in cache-sized slabs and allocate O(slab), not O(column). The
 column walk first multiplies each run of U(2)s on one qubit into one 2x2
 matrix (``fuse_u2_runs``), so it applies fewer, and its columns agree with
-the block walk's to rounding, not bit for bit.
+the block walk's to rounding, not bit for bit. Above ``WINDOW_N_Q`` qubits
+it applies each window of gates on at most ``WINDOW_N_Q`` qubits to one
+cache-sized block of the column at a time, on threads over the blocks, with
+the same bits as one pass per gate.
 
 A dense full-matrix oracle is provided for small qubit counts as an
 independent cross-check.
@@ -18,8 +21,9 @@ independent cross-check.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -34,6 +38,13 @@ BLOCK_MAX_N_Q = 9
 # pairs per slab of the column kernels: 2**14 complex values are 256 KiB per
 # work array, which stays within a 2 MiB L2 cache.
 BLOCK_GROUP = 1 << 14
+# Above this many qubits the column walk goes window by window, each window
+# a run of gates on at most WINDOW_N_Q qubits, through blocks of
+# 2**WINDOW_N_Q amplitudes (1 MiB, within a 2 MiB L2) that take all of a
+# window's gates while in cache: Haener-Steiger cache blocking
+# (arXiv:1704.01127), with threads over blocks as in qHiPSTER
+# (arXiv:1601.07195).
+WINDOW_N_Q = 16
 # block_step coefficients (d0, d1, o0, o1) of a CNOT.
 _CNOT_COEF = np.array([1, 0, 0, 1], dtype=complex)
 
@@ -220,27 +231,110 @@ def fuse_u2_runs(rows) -> list:
     return gates
 
 
-def walk_columns(tape: GateTape, checkpoints):
+def gate_windows(gates, width: int):
+    """Cut ``gates`` (is_u2, qubit, target, m) into windows of consecutive
+    gates that together touch at most ``width`` qubits, yielding (set of
+    touched qubits, list of the window's gates)."""
+    window, touched = [], set()
+    for gate in gates:
+        wider = touched | {gate[1], gate[2]}
+        if len(wider) > width:
+            yield touched, window
+            window, wider = [], {gate[1], gate[2]}
+        window.append(gate)
+        touched = wider
+    if window:
+        yield touched, window
+
+
+def _apply_gates(state: StateColumn, gates):
+    for u2, q, t, m in gates:
+        if u2:
+            apply_single_qubit(state, q, m)
+        else:
+            apply_cnot(state, q, t)
+
+
+def _apply_window(state: StateColumn, touched: set, gates, buffers, pool):
+    """Apply one window's ``gates`` to ``state`` block by block.
+
+    The block's qubits are the touched ones plus the lowest untouched ones,
+    one per buffer qubit; fixing the other (highest untouched) qubits cuts
+    the column into independent blocks. Each of the ``len(buffers)`` tasks,
+    the first in this thread and the others on ``pool``, copies every
+    len(buffers)-th block into its own buffer, applies the gates there at
+    the block's qubit positions (bit i of a buffer index is the i-th lowest
+    block qubit) and copies it back.
+    """
+    n_q, width = state.n_q, buffers[0].n_q
+    untouched = [q for q in range(n_q) if q not in touched]
+    local = sorted(touched.union(untouched[:width - len(touched)]))
+    position = {q: i for i, q in enumerate(local)}
+    gates = [(u2, position[q], position[t], m) for u2, q, t, m in gates]
+    # One axis per run of adjacent bits that are all block or all fixed
+    # bits, high bits first, then the fixed axes moved to the front. (One
+    # axis per bit makes numpy's copies about a quarter slower.)
+    runs = [(is_local, len(list(bits))) for is_local, bits in
+            groupby(q in position for q in range(n_q - 1, -1, -1))]
+    cube = state.amplitudes.reshape([1 << length for _, length in runs])
+    cube = cube.transpose(sorted(range(len(runs)), key=lambda axis: runs[axis][0]))
+    n_fixed = sum(not is_local for is_local, _ in runs)
+    blocks = list(np.ndindex(cube.shape[:n_fixed]))
+    tasks = len(buffers)
+
+    def run(task):
+        buffer = buffers[task]
+        shaped = buffer.amplitudes.reshape(cube.shape[n_fixed:])
+        for index in blocks[task::tasks]:
+            block = cube[index]
+            shaped[...] = block
+            _apply_gates(buffer, gates)
+            block[...] = shaped
+
+    others = [pool.submit(run, task) for task in range(1, tasks)]
+    run(0)
+    for other in others:
+        other.result()
+
+
+def walk_columns(tape: GateTape, checkpoints, threads: int = 1):
     """Advance the realizations of ``tape`` one after another through the
     in-place slab kernels, yielding (checkpoint index, live (1, N) view of
     the one column held). Between two checkpoints, each run of U(2)s on one
-    qubit is applied as one matrix (``fuse_u2_runs``)."""
-    for r in range(tape.is_u2.shape[0]):
-        rows = zip(tape.is_u2[r].tolist(), tape.qubit[r].tolist(),
-                   tape.target[r].tolist(), map(np.ndarray.tolist, tape.matrices(r)))
-        state = initial_column(tape.n_q)
-        done = 0
-        for k, cp in enumerate(checkpoints):
-            for u2, q, t, m in fuse_u2_runs(islice(rows, cp - done)):
-                if u2:
-                    apply_single_qubit(state, q, m)
+    qubit is applied as one matrix (``fuse_u2_runs``).
+
+    Above ``WINDOW_N_Q`` qubits the fused gates of each checkpoint segment
+    are cut into ``gate_windows`` of at most ``WINDOW_N_Q`` qubits, and each
+    window is applied to the column's 2**(n_q - WINDOW_N_Q) blocks one block
+    at a time (``_apply_window``), on up to ``threads`` threads. Every
+    amplitude takes the same products and sums as in one pass per gate, so
+    the columns do not depend on the window size or the thread count.
+    """
+    n_q, width = tape.n_q, WINDOW_N_Q
+    threads = max(1, min(threads, 1 << max(0, n_q - width)))
+    buffers = [initial_column(width) for _ in range(threads)] if n_q > width else None
+    with ExitStack() as stack:
+        pool = None
+        if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            pool = stack.enter_context(ThreadPoolExecutor(threads - 1))
+        for r in range(tape.is_u2.shape[0]):
+            rows = zip(tape.is_u2[r].tolist(), tape.qubit[r].tolist(),
+                       tape.target[r].tolist(), map(np.ndarray.tolist, tape.matrices(r)))
+            state = initial_column(n_q)
+            done = 0
+            for k, cp in enumerate(checkpoints):
+                gates = fuse_u2_runs(islice(rows, cp - done))
+                if buffers is None:
+                    _apply_gates(state, gates)
                 else:
-                    apply_cnot(state, q, t)
-            done = cp
-            yield k, state.amplitudes[None]
+                    for touched, window in gate_windows(gates, width):
+                        _apply_window(state, touched, window, buffers, pool)
+                done = cp
+                yield k, state.amplitudes[None]
 
 
-def iter_checkpoints(tape: GateTape, checkpoints):
+def iter_checkpoints(tape: GateTape, checkpoints, threads: int = 1):
     """Propagate |0...0> through each realization of ``tape``, yielding
     (checkpoint index, block) with block the (r, N) columns of some of the
     realizations at that checkpoint (a gate count).
@@ -248,7 +342,8 @@ def iter_checkpoints(tape: GateTape, checkpoints):
     Up to ``BLOCK_MAX_N_Q`` qubits all R realizations advance together and
     each checkpoint is yielded once (``walk_block``); above it one column at
     a time is held and each checkpoint is yielded once per realization
-    (``walk_columns``). A single pass through the gates serves all
+    (``walk_columns``, which uses up to ``threads`` threads above
+    ``WINDOW_N_Q`` qubits). A single pass through the gates serves all
     checkpoints (prefix reuse), and gates past the last one are not applied.
     Blocks are live, not copied: they change as the caller resumes.
     """
@@ -256,8 +351,9 @@ def iter_checkpoints(tape: GateTape, checkpoints):
     cps = check_checkpoints(checkpoints)
     if cps and cps[-1] > tape.n_g:
         raise ValueError(f"checkpoint {cps[-1]} exceeds n_g={tape.n_g}")
-    walk = walk_block if tape.n_q <= BLOCK_MAX_N_Q else walk_columns
-    return walk(tape, cps)
+    if tape.n_q <= BLOCK_MAX_N_Q:
+        return walk_block(tape, cps)
+    return walk_columns(tape, cps, threads)
 
 
 def simulate_first_column(tape: GateTape, checkpoints) -> list[StateColumn]:

@@ -280,6 +280,8 @@ def mean_over_states(block: np.ndarray, stat: StatisticKind) -> float:
     columns: the fsum of their ``fold_block`` sums over terms(N) * R."""
     if block.ndim != 2 or 0 in block.shape:
         raise ValueError(f"expected a non-empty (R, N) block, got shape {block.shape}")
+    if stat.kind == "pl":
+        raise ValueError("'pl' has no mean; use the histogram")
     rows, n = block.shape
     stat.check_column(n)
     return stat.mean(fold_block([stat], block, {stat.label: []})[stat.label], n, rows)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 
 from .column_sim import BLOCK_GROUP, iter_checkpoints
 from .ensemble_stats import StatisticKind, fold_block
@@ -36,11 +37,11 @@ def _run_chunk(args) -> list:
     """Fold realizations [start, stop), a batch of whole chunks, into one
     {label: accumulator} per checkpoint: a Histogram for pl, a list holding
     one fsum-reduced sum per chunk for each scalar statistic."""
-    config, stats, start, stop = args
+    config, stats, start, stop, threads = args
     folds = [{s.label: s.accumulator(1 << config.n_q) for s in stats} for _ in config.checkpoints]
     rngs = realization_rngs(config.master_seed, start, stop)
     tape = draw_tape(rngs, config.n_q, config.max_gates, config.p_g, rows=stop - start)
-    for k, block in iter_checkpoints(tape, config.checkpoints):
+    for k, block in iter_checkpoints(tape, config.checkpoints, threads):
         fold_block(stats, block, folds[k])
     for fold in folds:
         for s in stats:
@@ -83,13 +84,17 @@ def run_ensemble(config: EnsembleConfig, statistics, workers: int = 1) -> dict:
     per_batch = max(1, min(TAPE_GATES // (CHUNK_SIZE * max(1, config.max_gates)),
                            -(-chunks // workers)))
     step = per_batch * CHUNK_SIZE
-    batch_args = [(config, stats, start, min(start + step, n_r))
-                  for start in range(0, n_r, step)]
+    starts = range(0, n_r, step)
+    processes = min(workers, len(starts))
+    # Each process walks columns above WINDOW_N_Q qubits on its share of
+    # the CPUs; the output bits do not depend on it.
+    threads = max(1, len(os.sched_getaffinity(0)) // processes)
+    batch_args = [(config, stats, start, min(start + step, n_r), threads) for start in starts]
 
-    if workers == 1 or len(batch_args) == 1:
+    if processes == 1:
         folds = _merge(map(_run_chunk, batch_args))
     else:
-        with multiprocessing.get_context().Pool(min(workers, len(batch_args))) as pool:
+        with multiprocessing.get_context().Pool(processes) as pool:
             folds = _merge(pool.imap(_run_chunk, batch_args))
 
     return {s.label: [(ng, s.distance(fold[s.label], n, n_r))

@@ -108,6 +108,24 @@ def test_converge_deterministic_across_workers(tmp_path):
         assert read(os.path.join(outs[0], name)) == read(os.path.join(outs[1], name))
 
 
+def test_converge_above_sixteen_qubits_does_not_depend_on_workers_or_threads(
+        tmp_path, monkeypatch):
+    # At n_q 17 the column walk goes window by window over two blocks, on as
+    # many threads as the process has CPUs (two at most); the last run has one.
+    import ucesim.runner as runner
+    names = ("curve_nq17_pl.csv", "curve_nq17_mu2.csv", "manifest.json")
+    outs = []
+    for workers, cpus in ((1, None), (2, None), (1, {0})):
+        if cpus is not None:
+            monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: cpus)
+        out = str(tmp_path / f"w{workers}-{cpus}")
+        assert run(["converge", "--nq", "17", "--nr", "2", "--checkpoints", "5,40",
+                    "--statistics", "pl,mu2", "--seed", "3",
+                    "--workers", str(workers), "--out", out]) == 0
+        outs.append([read(os.path.join(out, name)) for name in names])
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_converge_rejects_memory_cap_violation(tmp_path):
     code = run(["converge", "--nq", "30", "--nr", "1",
                 "--out", str(tmp_path)])
@@ -564,6 +582,19 @@ def test_converge_and_nstar_fit_do_not_import_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
     assert os.listdir(tmp_path / "run" / "fit")
+
+
+def test_converge_up_to_sixteen_qubits_does_not_import_the_thread_pool(tmp_path):
+    # The column walk imports concurrent.futures only to run threads above
+    # WINDOW_N_Q qubits, so set-up and small runs do not pay for it.
+    code = ("import sys\n"
+            "from ucesim import cli\n"
+            "assert cli.main(['converge', '--nq', '3,16', '--nr', '1', '--checkpoints', '4,20',\n"
+            "                 '--statistics', 'pl,mu2', '--out', sys.argv[1]]) == 0\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    proc = run_python(["-c", code, str(tmp_path / "run")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_nstar_fit_output_bytes_are_pinned(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from ucesim.column_sim import (
     BLOCK_GROUP,
     BLOCK_MAX_N_Q,
+    WINDOW_N_Q,
     StateColumn,
     apply_cnot,
     apply_single_qubit,
@@ -15,6 +16,7 @@ from ucesim.column_sim import (
     dense_unitary_oracle,
     fuse_u2_runs,
     gate_matrix_full,
+    gate_windows,
     initial_column,
     iter_checkpoints,
     simulate_first_column,
@@ -378,6 +380,69 @@ def test_walk_columns_equals_kernels_over_its_fused_gates():
         assert len(columns) == len(expected) == 2 * len(cps)
         for i, (column, want) in enumerate(zip(columns, expected)):
             assert np.array_equal(column, want), (n_q, i)
+
+
+def test_windowed_walk_equals_one_pass_per_gate(monkeypatch):
+    # Blocks of 2**6 amplitudes, so that n_q 8-10 tapes run many windows; a
+    # window on six qubits that leaves bit 0 untouched fixes it.
+    import ucesim.column_sim as cs
+    width = 6
+    monkeypatch.setattr(cs, "WINDOW_N_Q", width)
+    windows_fixing_bit_0 = 0
+    for n_q in (8, 9, 10):
+        tape = draw_tape([realization_rng(n_q, r) for r in range(2)], n_q, 30 * n_q)
+        cps = [1, 7, 10 * n_q, 30 * n_q]
+        expected = fused_kernel_columns(tape, cps)
+        for threads in (1, 2):
+            columns = [b[0].copy() for _, b in walk_columns(tape, cps, threads)]
+            assert len(columns) == len(expected)
+            for i, (column, want) in enumerate(zip(columns, expected)):
+                assert np.array_equal(column, want), (n_q, threads, i)
+        for r in range(2):
+            rows = list(zip(tape.is_u2[r].tolist(), tape.qubit[r].tolist(),
+                            tape.target[r].tolist(), tape.matrices(r).tolist()))
+            for lo, hi in zip((0, *cps), cps):
+                gates = fuse_u2_runs(rows[lo:hi])
+                windows = list(gate_windows(gates, width))
+                assert [g for _, window in windows for g in window] == gates
+                for (touched, window), after in zip(windows, [*windows[1:], None]):
+                    assert touched == {q for _, c, t, _ in window for q in (c, t)}
+                    assert len(touched) <= width
+                    # A window ends only where the next gate would widen it too far.
+                    if after is not None:
+                        _, c, t, _ = after[1][0]
+                        assert len(touched | {c, t}) > width
+                    windows_fixing_bit_0 += len(touched) == width and 0 not in touched
+    assert windows_fixing_bit_0 > 10
+
+
+def test_windowed_walk_above_sixteen_qubits_equals_one_pass_per_gate():
+    n_q = WINDOW_N_Q + 1
+    tape = draw_tape([realization_rng(n_q, 0)], n_q, 40)
+    cps = [5, 40]
+    expected = fused_kernel_columns(tape, cps)
+    for threads in (1, 2):
+        columns = [b[0].copy() for _, b in walk_columns(tape, cps, threads)]
+        assert len(columns) == len(expected)
+        for i, (column, want) in enumerate(zip(columns, expected)):
+            assert np.array_equal(column, want), (threads, i)
+
+
+def test_windowed_walk_at_n_q_22_allocates_a_few_mib_per_thread():
+    # Each of the two tasks (this thread and one pool thread) holds one 1 MiB
+    # block buffer and under 1 MiB of kernel scratch; nothing column-sized
+    # is allocated besides the column itself.
+    tape = draw_tape([realization_rng(22, 0)], 22, 30)
+    threads = 2
+    tracemalloc.start()
+    try:
+        for _ in walk_columns(tape, [10, 30], threads):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    column = 16 << 22
+    assert peak - column < threads * (4 << 20), peak - column
 
 
 def test_fused_column_keeps_unit_norm():

@@ -247,6 +247,14 @@ def test_reference_mean_takes_a_nonempty_block():
             mean_over_states(bad, StatisticKind("mu", 2))
 
 
+def test_reference_mean_of_pl_is_an_error_before_any_fold(monkeypatch):
+    import ucesim.ensemble_stats as es
+    monkeypatch.setattr(es, "fold_block", lambda *args: pytest.fail("folded pl"))
+    block = np.full((2, 4), 0.5, dtype=complex)
+    with pytest.raises(ValueError, match="'pl' has no mean; use the histogram"):
+        mean_over_states(block, StatisticKind("pl"))
+
+
 def test_relative_deviation():
     assert relative_deviation(1.6, 1.6) == 0.0
     assert relative_deviation(3.2, 1.6) == 1.0
@@ -393,7 +401,7 @@ def test_batching_never_changes_bits(monkeypatch):
     run_chunk = runner._run_chunk
 
     def recording_run_chunk(args):
-        batches.append(args[2:])
+        batches.append(args[2:4])
         return run_chunk(args)
 
     monkeypatch.setattr(runner, "_run_chunk", recording_run_chunk)
