@@ -10,10 +10,9 @@ large ones go one column at a time through the in-place kernels, which walk
 the column in cache-sized slabs and allocate O(slab), not O(column). The
 column walk first multiplies each run of U(2)s on one qubit into one 2x2
 matrix (``fuse_u2_runs``), so it applies fewer, and its columns agree with
-the block walk's to rounding, not bit for bit. Above ``WINDOW_N_Q`` qubits
-it applies each window of gates on at most ``WINDOW_N_Q`` qubits to one
-cache-sized block of the column at a time, on threads over the blocks, with
-the same bits as one pass per gate.
+the block walk's to rounding, not bit for bit. Above ``THREAD_MIN_N_Q``
+qubits it splits the column into contiguous blocks shared across threads,
+with the same bits as one pass per gate.
 
 A dense full-matrix oracle is provided for small qubit counts as an
 independent cross-check.
@@ -38,13 +37,11 @@ BLOCK_MAX_N_Q = 9
 # pairs per slab of the column kernels: 2**14 complex values are 256 KiB per
 # work array, which stays within a 2 MiB L2 cache.
 BLOCK_GROUP = 1 << 14
-# Above this many qubits the column walk goes window by window, each window
-# a run of gates on at most WINDOW_N_Q qubits, through blocks of
-# 2**WINDOW_N_Q amplitudes (1 MiB, within a 2 MiB L2) that take all of a
-# window's gates while in cache: Haener-Steiger cache blocking
-# (arXiv:1704.01127), with threads over blocks as in qHiPSTER
-# (arXiv:1601.07195).
-WINDOW_N_Q = 16
+# The column walk runs threads only above this many qubits, over contiguous
+# blocks of at least 2**THREAD_MIN_N_Q amplitudes (1 MiB). Threads that split
+# each gate were slower at n_q 16 (ROADMAP, "Measurements that the code
+# points to").
+THREAD_MIN_N_Q = 16
 # block_step coefficients (d0, d1, o0, o1) of a CNOT.
 _CNOT_COEF = np.array([1, 0, 0, 1], dtype=complex)
 
@@ -231,70 +228,32 @@ def fuse_u2_runs(rows) -> list:
     return gates
 
 
-def gate_windows(gates, width: int):
-    """Cut ``gates`` (is_u2, qubit, target, m) into windows of consecutive
-    gates that together touch at most ``width`` qubits, yielding (set of
-    touched qubits, list of the window's gates)."""
-    window, touched = [], set()
-    for gate in gates:
-        wider = touched | {gate[1], gate[2]}
-        if len(wider) > width:
-            yield touched, window
-            window, wider = [], {gate[1], gate[2]}
-        window.append(gate)
-        touched = wider
-    if window:
-        yield touched, window
+def _apply_gates(states, gates):
+    """Apply ``gates`` to each of ``states`` in turn."""
+    for state in states:
+        for u2, q, t, m in gates:
+            if u2:
+                apply_single_qubit(state, q, m)
+            else:
+                apply_cnot(state, q, t)
 
 
-def _apply_gates(state: StateColumn, gates):
-    for u2, q, t, m in gates:
-        if u2:
-            apply_single_qubit(state, q, m)
-        else:
-            apply_cnot(state, q, t)
-
-
-def _apply_window(state: StateColumn, touched: set, gates, buffers, pool):
-    """Apply one window's ``gates`` to ``state`` block by block.
-
-    The block's qubits are the touched ones plus the lowest untouched ones,
-    one per buffer qubit; fixing the other (highest untouched) qubits cuts
-    the column into independent blocks. Each of the ``len(buffers)`` tasks,
-    the first in this thread and the others on ``pool``, copies every
-    len(buffers)-th block into its own buffer, applies the gates there at
-    the block's qubit positions (bit i of a buffer index is the i-th lowest
-    block qubit) and copies it back.
-    """
-    n_q, width = state.n_q, buffers[0].n_q
-    untouched = [q for q in range(n_q) if q not in touched]
-    local = sorted(touched.union(untouched[:width - len(touched)]))
-    position = {q: i for i, q in enumerate(local)}
-    gates = [(u2, position[q], position[t], m) for u2, q, t, m in gates]
-    # One axis per run of adjacent bits that are all block or all fixed
-    # bits, high bits first, then the fixed axes moved to the front. (One
-    # axis per bit makes numpy's copies about a quarter slower.)
-    runs = [(is_local, len(list(bits))) for is_local, bits in
-            groupby(q in position for q in range(n_q - 1, -1, -1))]
-    cube = state.amplitudes.reshape([1 << length for _, length in runs])
-    cube = cube.transpose(sorted(range(len(runs)), key=lambda axis: runs[axis][0]))
-    n_fixed = sum(not is_local for is_local, _ in runs)
-    blocks = list(np.ndindex(cube.shape[:n_fixed]))
-    tasks = len(buffers)
-
-    def run(task):
-        buffer = buffers[task]
-        shaped = buffer.amplitudes.reshape(cube.shape[n_fixed:])
-        for index in blocks[task::tasks]:
-            block = cube[index]
-            shaped[...] = block
-            _apply_gates(buffer, gates)
-            block[...] = shaped
-
-    others = [pool.submit(run, task) for task in range(1, tasks)]
-    run(0)
-    for other in others:
-        other.result()
+def _apply_blocks(state: StateColumn, gates, blocks, pool, threads: int):
+    """Apply ``gates`` to ``state``, whose amplitudes ``blocks`` cut into
+    contiguous pieces. Each maximal run of gates on qubits below
+    ``blocks[0].n_q`` goes to every block, block i to task i % ``threads``:
+    task 0 in this thread, the others on ``pool``. A gate on a higher qubit
+    goes to the whole column in this thread."""
+    size = blocks[0].n_q
+    for low, run in groupby(gates, key=lambda gate: max(gate[1], gate[2]) < size):
+        run = list(run)
+        if not low:
+            _apply_gates([state], run)
+            continue
+        tasks = [pool.submit(_apply_gates, blocks[i::threads], run) for i in range(1, threads)]
+        _apply_gates(blocks[::threads], run)
+        for task in tasks:
+            task.result()
 
 
 def walk_columns(tape: GateTape, checkpoints, threads: int = 1):
@@ -303,16 +262,16 @@ def walk_columns(tape: GateTape, checkpoints, threads: int = 1):
     the one column held). Between two checkpoints, each run of U(2)s on one
     qubit is applied as one matrix (``fuse_u2_runs``).
 
-    Above ``WINDOW_N_Q`` qubits the fused gates of each checkpoint segment
-    are cut into ``gate_windows`` of at most ``WINDOW_N_Q`` qubits, and each
-    window is applied to the column's 2**(n_q - WINDOW_N_Q) blocks one block
-    at a time (``_apply_window``), on up to ``threads`` threads. Every
-    amplitude takes the same products and sums as in one pass per gate, so
-    the columns do not depend on the window size or the thread count.
+    Above ``THREAD_MIN_N_Q`` qubits, up to ``threads`` threads share the work
+    (``_apply_blocks``): the column is cut into 2**b contiguous blocks, b =
+    (threads - 1).bit_length(), and each run of gates below the top b
+    qubits goes to every block in place. The same kernels apply the same
+    products at the same qubit positions, so the columns do not depend on
+    the thread count.
     """
-    n_q, width = tape.n_q, WINDOW_N_Q
-    threads = max(1, min(threads, 1 << max(0, n_q - width)))
-    buffers = [initial_column(width) for _ in range(threads)] if n_q > width else None
+    n_q = tape.n_q
+    threads = max(1, min(threads, 1 << max(0, n_q - THREAD_MIN_N_Q)))
+    size = n_q - (threads - 1).bit_length()
     with ExitStack() as stack:
         pool = None
         if threads > 1:
@@ -322,14 +281,14 @@ def walk_columns(tape: GateTape, checkpoints, threads: int = 1):
             rows = zip(tape.is_u2[r].tolist(), tape.qubit[r].tolist(),
                        tape.target[r].tolist(), map(np.ndarray.tolist, tape.matrices(r)))
             state = initial_column(n_q)
+            blocks = [StateColumn(size, a) for a in state.amplitudes.reshape(-1, 1 << size)]
             done = 0
             for k, cp in enumerate(checkpoints):
                 gates = fuse_u2_runs(islice(rows, cp - done))
-                if buffers is None:
-                    _apply_gates(state, gates)
+                if pool is None:
+                    _apply_gates([state], gates)
                 else:
-                    for touched, window in gate_windows(gates, width):
-                        _apply_window(state, touched, window, buffers, pool)
+                    _apply_blocks(state, gates, blocks, pool, threads)
                 done = cp
                 yield k, state.amplitudes[None]
 
@@ -343,7 +302,7 @@ def iter_checkpoints(tape: GateTape, checkpoints, threads: int = 1):
     each checkpoint is yielded once (``walk_block``); above it one column at
     a time is held and each checkpoint is yielded once per realization
     (``walk_columns``, which uses up to ``threads`` threads above
-    ``WINDOW_N_Q`` qubits). A single pass through the gates serves all
+    ``THREAD_MIN_N_Q`` qubits). A single pass through the gates serves all
     checkpoints (prefix reuse), and gates past the last one are not applied.
     Blocks are live, not copied: they change as the caller resumes.
     """

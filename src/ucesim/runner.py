@@ -86,9 +86,14 @@ def run_ensemble(config: EnsembleConfig, statistics, workers: int = 1) -> dict:
     step = per_batch * CHUNK_SIZE
     starts = range(0, n_r, step)
     processes = min(workers, len(starts))
-    # Each process walks columns above WINDOW_N_Q qubits on its share of
-    # the CPUs; the output bits do not depend on it.
-    threads = max(1, len(os.sched_getaffinity(0)) // processes)
+    # Each process walks columns above THREAD_MIN_N_Q qubits on its share
+    # of the CPUs; the output bits do not depend on it. sched_getaffinity
+    # exists only on some platforms, Linux among them.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    threads = max(1, cpus // processes)
     batch_args = [(config, stats, start, min(start + step, n_r), threads) for start in starts]
 
     if processes == 1:

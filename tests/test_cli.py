@@ -110,7 +110,7 @@ def test_converge_deterministic_across_workers(tmp_path):
 
 def test_converge_above_sixteen_qubits_does_not_depend_on_workers_or_threads(
         tmp_path, monkeypatch):
-    # At n_q 17 the column walk goes window by window over two blocks, on as
+    # At n_q 17 the column walk splits the column into two blocks, on as
     # many threads as the process has CPUs (two at most); the last run has one.
     import ucesim.runner as runner
     names = ("curve_nq17_pl.csv", "curve_nq17_mu2.csv", "manifest.json")
@@ -586,7 +586,7 @@ def test_converge_and_nstar_fit_do_not_import_numpy_ma(tmp_path):
 
 def test_converge_up_to_sixteen_qubits_does_not_import_the_thread_pool(tmp_path):
     # The column walk imports concurrent.futures only to run threads above
-    # WINDOW_N_Q qubits, so set-up and small runs do not pay for it.
+    # THREAD_MIN_N_Q qubits, so set-up and small runs do not pay for it.
     code = ("import sys\n"
             "from ucesim import cli\n"
             "assert cli.main(['converge', '--nq', '3,16', '--nr', '1', '--checkpoints', '4,20',\n"

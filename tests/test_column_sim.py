@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from ucesim.column_sim import (
     BLOCK_GROUP,
     BLOCK_MAX_N_Q,
-    WINDOW_N_Q,
+    THREAD_MIN_N_Q,
     StateColumn,
     apply_cnot,
     apply_single_qubit,
@@ -16,7 +17,6 @@ from ucesim.column_sim import (
     dense_unitary_oracle,
     fuse_u2_runs,
     gate_matrix_full,
-    gate_windows,
     initial_column,
     iter_checkpoints,
     simulate_first_column,
@@ -383,41 +383,23 @@ def test_walk_columns_equals_kernels_over_its_fused_gates():
 
 
 def test_windowed_walk_equals_one_pass_per_gate(monkeypatch):
-    # Blocks of 2**6 amplitudes, so that n_q 8-10 tapes run many windows; a
-    # window on six qubits that leaves bit 0 untouched fixes it.
+    # Blocks of at least 2**6 amplitudes, so that n_q 8-10 tapes have gates
+    # on top qubits between runs of block gates; 3 threads share 4 blocks.
     import ucesim.column_sim as cs
-    width = 6
-    monkeypatch.setattr(cs, "WINDOW_N_Q", width)
-    windows_fixing_bit_0 = 0
+    monkeypatch.setattr(cs, "THREAD_MIN_N_Q", 6)
     for n_q in (8, 9, 10):
         tape = draw_tape([realization_rng(n_q, r) for r in range(2)], n_q, 30 * n_q)
         cps = [1, 7, 10 * n_q, 30 * n_q]
         expected = fused_kernel_columns(tape, cps)
-        for threads in (1, 2):
+        for threads in (1, 2, 3):
             columns = [b[0].copy() for _, b in walk_columns(tape, cps, threads)]
             assert len(columns) == len(expected)
             for i, (column, want) in enumerate(zip(columns, expected)):
                 assert np.array_equal(column, want), (n_q, threads, i)
-        for r in range(2):
-            rows = list(zip(tape.is_u2[r].tolist(), tape.qubit[r].tolist(),
-                            tape.target[r].tolist(), tape.matrices(r).tolist()))
-            for lo, hi in zip((0, *cps), cps):
-                gates = fuse_u2_runs(rows[lo:hi])
-                windows = list(gate_windows(gates, width))
-                assert [g for _, window in windows for g in window] == gates
-                for (touched, window), after in zip(windows, [*windows[1:], None]):
-                    assert touched == {q for _, c, t, _ in window for q in (c, t)}
-                    assert len(touched) <= width
-                    # A window ends only where the next gate would widen it too far.
-                    if after is not None:
-                        _, c, t, _ = after[1][0]
-                        assert len(touched | {c, t}) > width
-                    windows_fixing_bit_0 += len(touched) == width and 0 not in touched
-    assert windows_fixing_bit_0 > 10
 
 
 def test_windowed_walk_above_sixteen_qubits_equals_one_pass_per_gate():
-    n_q = WINDOW_N_Q + 1
+    n_q = THREAD_MIN_N_Q + 1
     tape = draw_tape([realization_rng(n_q, 0)], n_q, 40)
     cps = [5, 40]
     expected = fused_kernel_columns(tape, cps)
@@ -428,10 +410,28 @@ def test_windowed_walk_above_sixteen_qubits_equals_one_pass_per_gate():
             assert np.array_equal(column, want), (threads, i)
 
 
+def test_walk_above_sixteen_qubits_applies_block_gates_on_two_threads(monkeypatch):
+    # The bit tests above would also pass a walk that silently ran serial.
+    import ucesim.column_sim as cs
+    n_q = THREAD_MIN_N_Q + 1
+    real, idents = cs._apply_gates, set()
+
+    def recorded(states, gates):
+        if all(state.n_q < n_q for state in states):
+            idents.add(threading.get_ident())
+        return real(states, gates)
+
+    monkeypatch.setattr(cs, "_apply_gates", recorded)
+    tape = draw_tape([realization_rng(n_q, 0)], n_q, 40)
+    for _ in walk_columns(tape, [40], threads=2):
+        pass
+    assert len(idents) == 2
+
+
 def test_windowed_walk_at_n_q_22_allocates_a_few_mib_per_thread():
-    # Each of the two tasks (this thread and one pool thread) holds one 1 MiB
-    # block buffer and under 1 MiB of kernel scratch; nothing column-sized
-    # is allocated besides the column itself.
+    # Each of the two tasks (this thread and one pool thread) works on its
+    # block of the column in place, through under 1 MiB of kernel scratch;
+    # nothing column-sized is allocated besides the column itself.
     tape = draw_tape([realization_rng(22, 0)], 22, 30)
     threads = 2
     tracemalloc.start()
@@ -442,7 +442,7 @@ def test_windowed_walk_at_n_q_22_allocates_a_few_mib_per_thread():
     finally:
         tracemalloc.stop()
     column = 16 << 22
-    assert peak - column < threads * (4 << 20), peak - column
+    assert peak - column < threads * (2 << 20), peak - column
 
 
 def test_fused_column_keeps_unit_norm():

@@ -361,6 +361,17 @@ def test_run_ensemble_worker_count_invariance():
         assert a[label] == b[label]
 
 
+def test_run_ensemble_runs_without_sched_getaffinity(monkeypatch):
+    # os.sched_getaffinity is missing on macOS and Windows; the thread count
+    # then comes from os.cpu_count, and the curves are the same.
+    import ucesim.runner as runner
+
+    cfg = EnsembleConfig(n_q=3, checkpoints=(3, 6), master_seed=3, n_r=64, sizing=None)
+    want = run_ensemble(cfg, ["pl", "mu2"])
+    monkeypatch.delattr(runner.os, "sched_getaffinity", raising=False)
+    assert run_ensemble(cfg, ["pl", "mu2"]) == want
+
+
 def test_run_ensemble_starts_no_more_workers_than_chunks(monkeypatch):
     # 200 realizations make 4 chunks, so 8 workers ask for a pool of 4. The
     # pool is replaced by one that records its size and runs inline.
