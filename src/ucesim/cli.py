@@ -280,8 +280,6 @@ def cmd_nstar_fit(args) -> int:
     ln_eps_list = _parse_ln_eps(args.ln_eps)
     if not ln_eps_list:
         raise UsageError("empty --ln-eps list")
-    if not 1 < args.guard < math.inf:
-        raise UsageError(f"--guard must exceed 1 and be finite, got {args.guard}")
     curves = read_curves(args.curves)
     out_dir = args.out or os.environ.get("UCESIM_OUT", ".")
     os.makedirs(out_dir, exist_ok=True)
@@ -297,7 +295,7 @@ def cmd_nstar_fit(args) -> int:
             for ln_eps in ln_eps_list:
                 eps = math.exp(ln_eps)
                 for nq in sorted(by_nq):
-                    ns = n_star(by_nq[nq], eps, guard_factor=args.guard)
+                    ns = n_star(by_nq[nq], eps)
                     writer.writerow([nq, _fmt(ln_eps), "NA" if ns is None else ns])
                     if ns is not None:
                         table[ln_eps].append((nq, ns))
@@ -327,7 +325,7 @@ def cmd_gap(args) -> int:
     if not args.exact and args.samples < MIN_MC_SAMPLES:
         raise UsageError(f"--samples must be >= {MIN_MC_SAMPLES} without --exact, "
                          f"got {args.samples}")
-    rng = np.random.default_rng(args.seed)
+    rng = None if args.exact else np.random.default_rng(args.seed)
     g, sigma = build_moment_operator(args.samples, rng, exact=args.exact)
     gap, multiplicity = spectral_gap(g)
     report = {
@@ -433,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nstar-fit", help="extract n* and fit f1/f2/f3")
     p.add_argument("curves", nargs="*", help="curve CSV files")
     p.add_argument("--ln-eps", required=True, help="comma list of ln(eps) values")
-    p.add_argument("--guard", type=float, default=2.0,
-                   help="saturation guard factor (default 2)")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_nstar_fit)
 
@@ -469,7 +465,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

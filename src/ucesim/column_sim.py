@@ -262,12 +262,12 @@ def walk_columns(tape: GateTape, checkpoints, threads: int = 1):
     the one column held). Between two checkpoints, each run of U(2)s on one
     qubit is applied as one matrix (``fuse_u2_runs``).
 
-    Above ``THREAD_MIN_N_Q`` qubits, up to ``threads`` threads share the work
-    (``_apply_blocks``): the column is cut into 2**b contiguous blocks, b =
-    (threads - 1).bit_length(), and each run of gates below the top b
-    qubits goes to every block in place. The same kernels apply the same
-    products at the same qubit positions, so the columns do not depend on
-    the thread count.
+    Every segment goes through ``_apply_blocks``: the column is cut into
+    2**b contiguous blocks for up to ``threads`` threads, b = (threads -
+    1).bit_length(), one block at or below ``THREAD_MIN_N_Q`` qubits. Each
+    run of gates below the top b qubits goes to every block in place. The
+    same kernels apply the same products at the same qubit positions, so
+    the columns do not depend on the thread count.
     """
     n_q = tape.n_q
     threads = max(1, min(threads, 1 << max(0, n_q - THREAD_MIN_N_Q)))
@@ -285,10 +285,7 @@ def walk_columns(tape: GateTape, checkpoints, threads: int = 1):
             done = 0
             for k, cp in enumerate(checkpoints):
                 gates = fuse_u2_runs(islice(rows, cp - done))
-                if pool is None:
-                    _apply_gates([state], gates)
-                else:
-                    _apply_blocks(state, gates, blocks, pool, threads)
+                _apply_blocks(state, gates, blocks, pool, threads)
                 done = cp
                 yield k, state.amplitudes[None]
 

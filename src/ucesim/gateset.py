@@ -5,8 +5,10 @@ CNOTs on uniformly chosen ordered qubit pairs (probability ``1 - p_g``).
 All randomness flows through numpy Generators derived deterministically from
 a 64-bit master seed and a realization index, so ensembles are reproducible
 independent of execution order. A realization's stream is numpy's
-``SeedSequence(master_seed, spawn_key=(index,))`` feeding PCG64;
-``pcg64_states`` computes those PCG64 states for a range of indices at once.
+``SeedSequence(master_seed, spawn_key=(index,))`` feeding PCG64. The
+runner's contiguous ranges of one-word (< 2**32) indices get their PCG64
+states at once from ``pcg64_states``; any other single stream is numpy's
+own (``realization_rng``).
 
 A realization's gates are drawn as one ``GateTape`` row (``draw_tape``),
 and the tape is the one circuit format: ``sample_gate`` is a one-gate tape,
@@ -90,6 +92,11 @@ class EnsembleConfig:
             raise ValueError(f"n_r must be >= 1, got {self.n_r}")
         if self.n_r is None and (self.sizing is None or self.sizing[0] < 1):
             raise ValueError(f"need n_r or a sizing rule (a, b) with a >= 1, got {self.sizing}")
+        # Streams take one-word indices; b - n_q > 32 is too many for any a.
+        if (self.n_r is None and int(self.sizing[1]) - self.n_q > 32
+                or self.resolved_n_r() > 1 << 32):
+            raise ValueError(f"n_r={self.n_r}, sizing={self.sizing} at n_q={self.n_q} "
+                             "asks for more than 2**32 realizations")
 
     def resolved_n_r(self) -> int:
         if self.n_r is not None:
@@ -106,9 +113,7 @@ def _hash_steps(init: int, mult: int, first: int, count: int) -> list:
     """(xor, mult) of SeedSequence's hashmix calls first..first+count-1: its
     hash constant before and after each call's update, where call k's update
     leaves init * mult**(k + 1) mod 2**32."""
-    consts = [init * pow(mult, first, 1 << 32) & _MASK32]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
+    consts = [init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + count + 1)]
     return list(zip(consts, consts[1:]))
 
 
@@ -125,24 +130,9 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _n_words(n: int) -> int:
-    """How many uint32 words numpy assembles from an int (0 is one word)."""
-    return max(1, -(-n.bit_length() // 32))
-
-
-def _index_spans(start: int, stop: int):
-    """[lo, hi) runs of [start, stop) whose indices have the same number of
-    uint32 words, with that number."""
-    lo = start
-    while lo < stop:
-        n_words = _n_words(lo)
-        hi = min(stop, 1 << 32 * n_words)
-        yield lo, hi, n_words
-        lo = hi
-
-
 def pcg64_states(master_seed: int, start: int, stop: int) -> list:
-    """PCG64 ``(state, inc)`` of realizations start..stop-1: the state of
+    """PCG64 ``(state, inc)`` of realizations start..stop-1, one-word
+    indices with 0 <= start <= stop <= 2**32: the state of
     ``np.random.default_rng(np.random.SeedSequence(entropy=master_seed,
     spawn_key=(i,)))``, computed for the whole range at once.
 
@@ -150,30 +140,27 @@ def pcg64_states(master_seed: int, start: int, stop: int) -> list:
     pool size, then the index's) into a 4-word pool with hash constants that
     do not depend on the data. The pool after the seed's words is numpy's
     own ``SeedSequence(master_seed).pool``, made with 4 * max(4, seed words)
-    hash steps; the index words go on from there as uint32 array operations
+    hash steps; the index word takes 4 more, as uint32 array operations
     over the range. ``generate_state(4, uint64)`` of the pool is PCG64's
     (seed, sequence), and PCG64's srandom is two steps of its 128-bit LCG.
     """
+    if not 0 <= start <= stop <= 1 << 32:
+        raise ValueError(f"realizations [{start}, {stop}) are not one-word indices")
     pool = np.random.SeedSequence(master_seed).pool
-    index_steps = _hash_steps(_INIT_A, _MULT_A, _POOL * max(_POOL, _n_words(master_seed)),
-                              _POOL * _n_words(stop))
+    seed_words = -(-master_seed.bit_length() // 32)
+    index_steps = _hash_steps(_INIT_A, _MULT_A, _POOL * max(_POOL, seed_words), _POOL)
     # generate_state reads 8 words cyclically from the pool and pairs them
     # little-endian into uint64s: seed high, seed low, sequence high and low.
     state_steps = _hash_steps(_INIT_B, _MULT_B, 0, 8)
+    word = np.arange(start, stop, dtype=np.uint32)
+    mixer = [_mix(np.full_like(word, p), _hash(word, *step)) for p, step in zip(pool, index_steps)]
+    out = [_hash(mixer[j % _POOL], *state_steps[j]).astype(np.uint64) for j in range(8)]
+    halves = [(out[j] | out[j + 1] << np.uint64(32)).tolist() for j in range(0, 8, 2)]
     states = []
-    for lo, hi, n_words in _index_spans(start, stop):
-        mixer = [np.full(hi - lo, p, dtype=np.uint32) for p in pool]
-        step = iter(index_steps)
-        for s in range(0, 32 * n_words, 32):
-            word = np.array([i >> s & _MASK32 for i in range(lo, hi)], dtype=np.uint32)
-            for dst in range(_POOL):
-                mixer[dst] = _mix(mixer[dst], _hash(word, *next(step)))
-        out = [_hash(mixer[j % _POOL], *state_steps[j]).astype(np.uint64) for j in range(8)]
-        halves = [(out[j] | out[j + 1] << np.uint64(32)).tolist() for j in range(0, 8, 2)]
-        for seed_hi, seed_lo, seq_hi, seq_lo in zip(*halves):
-            inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
-            states.append((state, inc))
+    for seed_hi, seed_lo, seq_hi, seq_lo in zip(*halves):
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
     return states
 
 
@@ -191,13 +178,11 @@ def realization_rngs(master_seed: int, start: int, stop: int):
 
 
 def realization_rng(master_seed: int, realization_index: int) -> np.random.Generator:
-    """Deterministic per-realization random stream, a Generator of its own.
-
-    It equals ``default_rng(SeedSequence(entropy=master_seed,
-    spawn_key=(realization_index,)))``, so streams are independent and
-    reproducible regardless of scheduling.
-    """
-    return next(realization_rngs(master_seed, realization_index, realization_index + 1))
+    """Deterministic per-realization random stream, a Generator of its own:
+    numpy's ``default_rng(SeedSequence(master_seed, spawn_key=(index,)))``
+    at any index, which ``realization_rngs`` yields for one-word indices."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed,
+                                                        spawn_key=(realization_index,)))
 
 
 def su2_entries(psi, chi, phi, out=None) -> np.ndarray:

@@ -18,7 +18,6 @@ workers; the fixed chunk size is the only grouping.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 
 from .column_sim import BLOCK_GROUP, iter_checkpoints
@@ -99,6 +98,8 @@ def run_ensemble(config: EnsembleConfig, statistics, workers: int = 1) -> dict:
     if processes == 1:
         folds = _merge(map(_run_chunk, batch_args))
     else:
+        import multiprocessing
+
         with multiprocessing.get_context().Pool(processes) as pool:
             folds = _merge(pool.imap(_run_chunk, batch_args))
 

@@ -20,6 +20,8 @@ import math
 import numpy as np
 
 MODELS = ("f1", "f2", "f3")
+# n_star gives None for eps below this multiple of the saturation floor.
+GUARD_FACTOR = 2.0
 
 
 def saturation_floor(points) -> float:
@@ -33,11 +35,11 @@ def saturation_floor(points) -> float:
     return float(tail[mid] if len(tail) % 2 else (tail[mid - 1] + tail[mid]) / 2)
 
 
-def n_star(points, eps: float, guard_factor: float = 2.0) -> int | None:
+def n_star(points, eps: float) -> int | None:
     """Smallest gate count with D <= eps on a curve of (n_g, D) points, or
     None when unreachable.
 
-    None signals eps < guard_factor * saturation_floor(points), which is
+    None signals eps < GUARD_FACTOR * saturation_floor(points), which is
     only checked on curves of 4 or more points (too close to the floor;
     increase n_r or eps), or that the curve never crosses eps.
     The crossing is interpolated in ln D, as D decays about exponentially
@@ -45,9 +47,7 @@ def n_star(points, eps: float, guard_factor: float = 2.0) -> int | None:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if guard_factor <= 1:
-        raise ValueError("guard_factor must exceed 1")
-    if len(points) >= 4 and eps < guard_factor * saturation_floor(points):
+    if len(points) >= 4 and eps < GUARD_FACTOR * saturation_floor(points):
         return None
     prev = None
     for ng, d in points:

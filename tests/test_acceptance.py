@@ -143,7 +143,7 @@ def test_criterion_8_desk_scale_scaling_study():
         cfg = EnsembleConfig(n_q=nq, checkpoints=geometric_checkpoints(nq),
                              master_seed=MASTER_SEED + 4, sizing=(10, 16))
         points = run_ensemble(cfg, ["mu2"], workers=2)["mu2"]
-        ns = n_star(points, eps, guard_factor=2.0)
+        ns = n_star(points, eps)
         assert ns is not None, f"n* unreachable at n_q={nq}"
         pairs.append((nq, ns))
     values = [ns for _, ns in pairs]

@@ -299,10 +299,7 @@ def test_nstar_fit_usage_errors(tmp_path, capsys):
                           # eps = exp(ln_eps) overflows, or is 0.
                           (["--ln-eps=1000"], "--ln-eps 1000.0 makes eps = exp(ln_eps) 0 or"),
                           (["--ln-eps=-1,-1000"], "--ln-eps -1000.0 makes eps"),
-                          (["--ln-eps=-746"], "--ln-eps -746.0 makes eps"),
-                          (["--ln-eps=-1", "--guard", "0.5"], "--guard must exceed 1"),
-                          (["--ln-eps=-1", "--guard", "inf"],
-                           "--guard must exceed 1 and be finite, got inf")):
+                          (["--ln-eps=-746"], "--ln-eps -746.0 makes eps")):
         out = tmp_path / "o"
         assert run(["nstar-fit", "f.csv", *argv, "--out", str(out)]) == 1, argv
         err = capsys.readouterr().err
@@ -595,6 +592,39 @@ def test_converge_up_to_sixteen_qubits_does_not_import_the_thread_pool(tmp_path)
     proc = run_python(["-c", code, str(tmp_path / "run")])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_a_run_on_one_process_does_not_import_multiprocessing(tmp_path):
+    # The runner imports multiprocessing only to start a pool of workers.
+    code = ("import sys\n"
+            "from ucesim import cli\n"
+            "assert cli.main(['converge', '--nq', '3', '--nr', '2', '--workers', '1',\n"
+            "                 '--out', sys.argv[1]]) == 0\n"
+            "print('multiprocessing' in sys.modules)\n")
+    proc = run_python(["-c", code, str(tmp_path / "run")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_exact_gap_does_not_import_numpy_random():
+    # Only the Monte Carlo averages draw, so only they build a Generator.
+    code = ("import sys\n"
+            "from ucesim import cli\n"
+            "assert cli.main(['gap', '--exact']) == 0\n"
+            "print('numpy.random' in sys.modules, file=sys.stderr)\n")
+    proc = run_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "False\n"
+
+
+def test_memory_error_is_a_runtime_error(tmp_path, monkeypatch, capsys):
+    # A run too large for memory exits 2 with a message, not a traceback.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate the tape")
+
+    monkeypatch.setattr(cli, "run_ensemble", out_of_memory)
+    assert run(["converge", "--nq", "3", "--nr", "2", "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate the tape\n"
 
 
 def test_nstar_fit_output_bytes_are_pinned(tmp_path, capsys):

@@ -375,7 +375,7 @@ def test_run_ensemble_runs_without_sched_getaffinity(monkeypatch):
 def test_run_ensemble_starts_no_more_workers_than_chunks(monkeypatch):
     # 200 realizations make 4 chunks, so 8 workers ask for a pool of 4. The
     # pool is replaced by one that records its size and runs inline.
-    import ucesim.runner as runner
+    import multiprocessing
 
     sizes = []
 
@@ -395,7 +395,7 @@ def test_run_ensemble_starts_no_more_workers_than_chunks(monkeypatch):
     class Context:
         Pool = InlinePool
 
-    monkeypatch.setattr(runner.multiprocessing, "get_context", lambda: Context)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: Context)
     cfg = EnsembleConfig(n_q=3, checkpoints=(3, 6), master_seed=3, n_r=200, sizing=None)
     pooled = run_ensemble(cfg, ["mu2"], workers=8)
     assert sizes == [4]

@@ -165,13 +165,17 @@ def test_realization_streams_equal_numpy_seed_sequence():
         for index in ORACLE_INDICES:
             want = _numpy_stream(seed, index).random(64).tobytes()
             assert realization_rng(seed, index).random(64).tobytes() == want, (seed, index)
-    # One batch whose indices go from one uint32 word to two (and two to
-    # three): each run of equal word count is mixed as one group.
+    # The batch path takes one-word indices, up to the last one, and
+    # refuses a range that reaches past 2**32.
+    lo = 2**32 - 6
     for seed in (0, 2**160 + 3):
-        for lo in (2**32 - 3, 2**64 - 2):
-            got = [rng.random(64).tobytes() for rng in realization_rngs(seed, lo, lo + 6)]
-            assert got == [_numpy_stream(seed, i).random(64).tobytes()
-                           for i in range(lo, lo + 6)], (seed, lo)
+        want = [_numpy_stream(seed, i).bit_generator.state["state"] for i in range(lo, 2**32)]
+        assert pcg64_states(seed, lo, 2**32) == [(s["state"], s["inc"]) for s in want]
+        got = [rng.random(64).tobytes() for rng in realization_rngs(seed, lo, 2**32)]
+        assert got == [_numpy_stream(seed, i).random(64).tobytes() for i in range(lo, 2**32)]
+    for start, stop in ((2**32 - 3, 2**32 + 3), (2**32, 2**32 + 1), (-1, 2), (5, 4)):
+        with pytest.raises(ValueError, match="not one-word indices"):
+            pcg64_states(0, start, stop)
     for seed in (5, 2**64 + 5):
         want = [_numpy_stream(seed, i).bit_generator.state["state"] for i in range(130)]
         assert pcg64_states(seed, 0, 130) == [(s["state"], s["inc"]) for s in want]
@@ -213,13 +217,19 @@ def test_ensemble_config_owns_the_run_rules():
                          ({"p_g": float("nan")}, "p_g must be in"),
                          ({"n_r": 0}, "n_r must be >= 1"),
                          ({"n_r": None}, "need n_r or a sizing rule"),
-                         ({"n_r": None, "sizing": (0, 5)}, "with a >= 1")):
+                         ({"n_r": None, "sizing": (0, 5)}, "with a >= 1"),
+                         # Streams are seeded for one-word realization indices.
+                         ({"n_r": 2**32 + 1}, "more than 2**32 realizations"),
+                         ({"n_r": None, "sizing": (2, 35)}, "more than 2**32 realizations"),
+                         ({"n_r": None, "sizing": (1, 10**12)}, "more than 2**32")):
         with pytest.raises(ValueError, match=re.escape(message)):
             EnsembleConfig(**{**ok, **bad})
     for n_q in (1, MAX_N_Q):
         assert EnsembleConfig(**{**ok, "n_q": n_q}).n_q == n_q
     assert EnsembleConfig(**{**ok, "n_r": None, "sizing": (1, 0)}).resolved_n_r() == 1
     assert EnsembleConfig(**{**ok, "n_r": None, "sizing": (3, 5)}).resolved_n_r() == 12
+    assert EnsembleConfig(**{**ok, "n_r": 2**32}).resolved_n_r() == 2**32
+    assert EnsembleConfig(**{**ok, "n_r": None, "sizing": (1, 35)}).resolved_n_r() == 2**32
 
 
 def test_sample_gate_is_one_tape_row():

@@ -10,7 +10,7 @@ from ucesim.scaling import MODELS, fit_model, n_star, saturation_floor
 def test_n_star_interpolates_crossing():
     # floor 0.0405, the median of the last two points, is under eps / 2
     points = [(5, 0.5), (10, 0.2), (20, 0.05), (50, 0.04), (100, 0.041)]
-    ns = n_star(points, 0.1, guard_factor=2.0)
+    ns = n_star(points, 0.1)
     assert ns is not None
     assert 10 < ns <= 20
     # linear in ln D: 10 + ln(0.2/0.1) / ln(0.2/0.05) * 10 = 15 (16.66...,
@@ -33,7 +33,7 @@ def test_n_star_crossing_onto_zero_is_linear_in_d():
 
 def test_n_star_guard_rule():
     points = [(5, 0.5), (10, 0.2), (20, 0.05), (50, 0.04)]  # floor 0.04
-    assert n_star(points, 0.05, guard_factor=2.0) is None
+    assert n_star(points, 0.05) is None
 
 
 def test_n_star_no_guard_below_four_points():
@@ -64,8 +64,6 @@ def test_n_star_validation():
     points = [(5, 0.5)]
     with pytest.raises(ValueError):
         n_star(points, -1.0)
-    with pytest.raises(ValueError):
-        n_star(points, 0.1, guard_factor=0.5)
 
 
 def test_fit_recovers_exact_linear_data():
