@@ -52,17 +52,23 @@ def _parse_int_list(text: str) -> list[int]:
         raise UsageError(f"expected a comma list of integers, got {text!r}") from None
 
 
+def _split_labels(text: str) -> list[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
 def _parse_ln_eps(text: str) -> list[float]:
-    """The --ln-eps comma list: finite numbers x with exp(x) a positive float."""
+    """The --ln-eps comma list: distinct finite numbers x with exp(x) a positive float."""
     try:
         values = [float(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise UsageError(f"expected a comma list of numbers, got {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise UsageError(f"expected finite numbers, got {text!r}")
-    for x in values:
+    for i, x in enumerate(values):
         if not (x <= math.log(sys.float_info.max) and math.exp(x) > 0):
             raise UsageError(f"--ln-eps {x!r} makes eps = exp(ln_eps) 0 or overflow a float")
+        if x in values[:i]:  # a repeat would be written and fitted twice
+            raise UsageError(f"--ln-eps lists {x!r} twice")
     return values
 
 
@@ -121,32 +127,17 @@ def _effective_config(args) -> dict:
         "p_g": 0.5,
         "max_n_q": MAX_N_Q,
     }
-    if args.config:
-        data = _load_config_file(args.config)
-        unknown = sorted(set(data) - set(cfg))
-        if unknown:
-            raise UsageError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
-        if data.keys() & {"n_r", "sizing"}:
-            # A file's realization rule replaces the default one; a file
-            # that sets both keeps both, and n_r wins.
+    data = _load_config_file(args.config) if args.config else {}
+    unknown = sorted(set(data) - set(cfg))
+    if unknown:
+        raise UsageError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
+    flags = {k: v for k in cfg if (v := getattr(args, k, None)) is not None}
+    for source in (data, flags):
+        # Each source in turn, file then flags, replaces the realization
+        # rule before it; a file that sets both keeps both, and n_r wins.
+        if source.keys() & {"n_r", "sizing"}:
             cfg["n_r"] = cfg["sizing"] = None
-        cfg.update(data)
-    if args.nq is not None:
-        cfg["n_q"] = _parse_int_list(args.nq)
-    if args.statistics is not None:
-        cfg["statistics"] = [s.strip() for s in args.statistics.split(",") if s.strip()]
-    if args.checkpoints is not None:
-        cfg["checkpoints"] = _parse_int_list(args.checkpoints)
-    if args.nr is not None:
-        cfg["n_r"] = args.nr
-        cfg["sizing"] = None
-    if args.sizing is not None:
-        cfg["sizing"] = _parse_int_list(args.sizing)
-        cfg["n_r"] = None
-    if args.seed is not None:
-        cfg["master_seed"] = args.seed
-    if args.pg is not None:
-        cfg["p_g"] = args.pg
+        cfg.update(source)
     for key, (ok, what) in _CONFIG_TYPES.items():
         if not ok(cfg[key]):
             raise UsageError(f"{key} must be {what}, got {cfg[key]!r}")
@@ -416,14 +407,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="run ensembles and write curve CSVs")
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--nq", help="comma list of qubit counts")
-    p.add_argument("--statistics", help="comma list, e.g. pl,mu2,c2,mu4x0")
-    p.add_argument("--checkpoints", help="comma list of gate counts")
+    # Each flag's dest is its config key, and it arrives parsed.
+    p.add_argument("--nq", dest="n_q", metavar="NQ", type=_parse_int_list,
+                   help="comma list of qubit counts")
+    p.add_argument("--statistics", type=_split_labels, help="comma list, e.g. pl,mu2,c2,mu4x0")
+    p.add_argument("--checkpoints", type=_parse_int_list, help="comma list of gate counts")
     rule = p.add_mutually_exclusive_group()
-    rule.add_argument("--nr", type=int, help="explicit realization count")
-    rule.add_argument("--sizing", help="a,b for n_r = a*2^(b-nq)")
-    p.add_argument("--seed", type=_non_negative_int, help="master seed")
-    p.add_argument("--pg", type=float, help="single-qubit gate probability")
+    rule.add_argument("--nr", dest="n_r", metavar="NR", type=int,
+                      help="explicit realization count")
+    rule.add_argument("--sizing", type=_parse_int_list, help="a,b for n_r = a*2^(b-nq)")
+    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=_non_negative_int,
+                   help="master seed")
+    p.add_argument("--pg", dest="p_g", metavar="PG", type=float,
+                   help="single-qubit gate probability")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="output directory (default $UCESIM_OUT or .)")
     p.set_defaults(func=cmd_converge)

@@ -35,49 +35,39 @@ ROW_PIECE = BLOCK_GROUP // 840 * 840
 
 @dataclass(frozen=True)
 class StatisticKind:
-    """One of: distribution 'pl', moment 'mu', correlator 'c', or a
-    fixed-element moment 'mufix' probed at a single row."""
+    """One of: distribution 'pl', moment 'mu' or correlator 'c'. A moment
+    with a ``row`` reads that one element of each column."""
 
     kind: str
     k: int = 0
-    row: int = 0
+    row: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("pl", "mu", "c", "mufix"):
+        if self.kind not in ("pl", "mu", "c"):
             raise ValueError(f"unknown statistic kind {self.kind!r}")
         if self.kind != "pl" and not 1 <= self.k <= 8:
             raise ValueError(f"statistic {self.label}: moment/correlator order k must be in 1..8")
-        if self.row < 0:
-            raise ValueError("row must be >= 0")
+        if self.row is not None and (self.kind != "mu" or self.row < 0):
+            raise ValueError(f"statistic {self.label}: only a moment reads a row, and it is >= 0")
 
     @property
     def label(self) -> str:
-        if self.kind == "pl":
-            return "pl"
-        if self.kind == "mu":
-            return f"mu{self.k}"
-        if self.kind == "c":
-            return f"c{self.k}"
-        return f"mu{self.k}x{self.row}"
+        label = "pl" if self.kind == "pl" else f"{self.kind}{self.k}"
+        return label if self.row is None else f"{label}x{self.row}"
 
     @classmethod
     def parse(cls, label: str) -> "StatisticKind":
         if label == "pl":
             return cls("pl")
-        m = re.fullmatch(r"mu(\d+)x(\d+)", label)
-        if m:
-            return cls("mufix", k=int(m.group(1)), row=int(m.group(2)))
-        m = re.fullmatch(r"mu(\d+)", label)
-        if m:
-            return cls("mu", k=int(m.group(1)))
-        m = re.fullmatch(r"c(\d+)", label)
-        if m:
-            return cls("c", k=int(m.group(1)))
-        raise ValueError(f"cannot parse statistic {label!r}")
+        m = re.fullmatch(r"mu(\d+)(?:x(\d+))?|c(\d+)", label)
+        if not m:
+            raise ValueError(f"cannot parse statistic {label!r}")
+        mu, row, c = m.groups()
+        return cls("c", int(c)) if c else cls("mu", int(mu), None if row is None else int(row))
 
     def check_column(self, N: int):
         """Raise ValueError unless this statistic is defined on a column of N elements."""
-        if self.kind == "mufix" and self.row >= N:
+        if self.row is not None and self.row >= N:
             raise ValueError(f"statistic {self.label}: row {self.row} out of range for N={N}")
         if self.kind == "c" and self.k > N:
             raise ValueError(f"statistic {self.label}: correlator order {self.k} exceeds N={N}")
@@ -97,7 +87,7 @@ class StatisticKind:
             raise ValueError("'pl' has no per-state sum; use the histogram")
         if self.kind == "c":
             return N // self.k
-        return N if self.kind == "mu" else 1
+        return N if self.row is None else 1
 
     def state_sum(self, y: np.ndarray, lo: int = 0):
         """Sum of this scalar statistic's terms over one column's intensities
@@ -111,11 +101,11 @@ class StatisticKind:
         enters two products. A piece that starts at a multiple of k holds
         whole blocks, and its leftovers are the column's.
         """
-        if self.kind == "mu":
-            return (y ** self.k).sum(axis=-1)
-        if self.kind == "mufix":
+        if self.row is not None:
             i = self.row - lo
             return y[..., i] ** self.k if 0 <= i < y.shape[-1] else np.zeros(y.shape[:-1])
+        if self.kind == "mu":
+            return (y ** self.k).sum(axis=-1)
         if self.kind == "c":
             nb, k = self.terms(y.shape[-1]), self.k
             return y[..., : nb * k].reshape(*y.shape[:-1], nb, k).prod(axis=-1).sum(axis=-1)
@@ -155,7 +145,11 @@ class Histogram:
         self.edges = np.linspace(self.l_min, self.ln_n, self.bin_count + 1)
         # counts[0] is the underflow bin; counts[1:] the regular bins.
         self.counts = np.zeros(self.bin_count + 1, dtype=np.int64)
-        self.total = 0
+
+    @property
+    def total(self) -> int:
+        """Values counted so far, underflow included."""
+        return int(self.counts.sum())
 
     def bin_counts(self, values) -> np.ndarray:
         """Counts vector (underflow + bins) for a batch of any shape; does
@@ -186,14 +180,11 @@ class Histogram:
         return np.bincount(idx, minlength=self.bin_count + 1)
 
     def add(self, values) -> "Histogram":
-        v = np.asarray(values, dtype=float)
-        self.counts += self.bin_counts(v)
-        self.total += v.size
+        self.counts += self.bin_counts(values)
         return self
 
     def __iadd__(self, other: "Histogram") -> "Histogram":
         self.counts += other.counts
-        self.total += other.total
         return self
 
     def empirical_masses(self) -> np.ndarray:
@@ -266,7 +257,6 @@ def fold_block(stats, block: np.ndarray, fold: dict) -> dict:
                     zeros = flat.size - np.count_nonzero(flat)
                     hist.add(np.log(flat[flat != 0] if zeros else flat))
                     hist.counts[0] += zeros
-                    hist.total += zeros
                 else:
                     parts[s.label].append(s.state_sum(y, lo))
         for label, p in parts.items():
@@ -297,8 +287,7 @@ def moment_estimate(states, k: int, row: int | None = None) -> float:
     if any(c.size != columns[0].size for c in columns):
         raise ValueError("columns of different lengths")
     block = columns[0][None] if len(columns) == 1 else np.stack(columns)
-    return mean_over_states(block, StatisticKind("mu", k) if row is None
-                            else StatisticKind("mufix", k, row))
+    return mean_over_states(block, StatisticKind("mu", k, row))
 
 
 def relative_deviation(estimate: float, reference: float) -> float:

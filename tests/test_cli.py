@@ -217,6 +217,18 @@ def test_converge_takes_one_realization_rule(tmp_path, capsys):
         assert {k: config[k] for k in want} == want, rule
         rows = read(d / "curve_nq2_mu2.csv").decode().splitlines()[1:]
         assert {r.split(",")[4] for r in rows} == {str(n_r)}, rule
+    # A flag's rule replaces the file's rule in turn.
+    for i, (rule, argv, n_r, want) in enumerate((
+            ({"sizing": [1, 3]}, ["--nr", "3"], 3, {"n_r": 3, "sizing": None}),
+            ({"n_r": 3}, ["--sizing", "1,3"], 2, {"n_r": None, "sizing": [1, 3]}))):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**base, **rule}))
+        d = tmp_path / f"flag{i}"
+        assert run(["converge", "--config", str(cfg), *argv, "--out", str(d)]) == 0, argv
+        config = json.loads(read(d / "manifest.json"))["config"]
+        assert {k: config[k] for k in want} == want, argv
+        rows = read(d / "curve_nq2_mu2.csv").decode().splitlines()[1:]
+        assert {r.split(",")[4] for r in rows} == {str(n_r)}, argv
 
 
 def test_negative_seed_or_index_names_the_flag(capsys):
@@ -299,7 +311,9 @@ def test_nstar_fit_usage_errors(tmp_path, capsys):
                           # eps = exp(ln_eps) overflows, or is 0.
                           (["--ln-eps=1000"], "--ln-eps 1000.0 makes eps = exp(ln_eps) 0 or"),
                           (["--ln-eps=-1,-1000"], "--ln-eps -1000.0 makes eps"),
-                          (["--ln-eps=-746"], "--ln-eps -746.0 makes eps")):
+                          (["--ln-eps=-746"], "--ln-eps -746.0 makes eps"),
+                          # A repeat would be written and fitted twice.
+                          (["--ln-eps=-1,-1.0"], "--ln-eps lists -1.0 twice")):
         out = tmp_path / "o"
         assert run(["nstar-fit", "f.csv", *argv, "--out", str(out)]) == 1, argv
         err = capsys.readouterr().err

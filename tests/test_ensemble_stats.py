@@ -55,6 +55,15 @@ def test_statistic_kind_labels_roundtrip():
         StatisticKind.parse("mu9")
     with pytest.raises(ValueError):
         StatisticKind.parse("bogus")
+    # A fixed-row moment is a moment with a row: it reads one element, and
+    # only a moment takes a row.
+    fixed = StatisticKind("mu", 2, row=1)
+    assert fixed.label == "mu2x1" and fixed == StatisticKind.parse("mu2x1")
+    assert fixed.terms(8) == 1 and StatisticKind.parse("mu2").terms(8) == 8
+    with pytest.raises(ValueError):
+        StatisticKind("c", 3, row=1)
+    with pytest.raises(ValueError):
+        StatisticKind.parse("c3x1")
 
 
 def test_log_intensities_uniform_and_e0():
