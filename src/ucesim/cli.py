@@ -163,14 +163,11 @@ _CURVE_FIELDS = {"nq": _in_range(int, 1, 2 ** 53), "ng": _in_range(int, 0, 2 ** 
                  "n_r": _in_range(int, 1), "seed": _in_range(int, 0)}
 
 
-def _write_curve_csv(path: str, config: EnsembleConfig, label: str, points):
-    """One run's curve of one statistic, a row per (n_g, D) point."""
-    n_r = config.resolved_n_r()
+def _write_csv(path: str, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CURVE_FIELDS)
-        for ng, d in points:
-            writer.writerow([config.n_q, ng, label, _fmt(d), n_r, config.master_seed])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_converge(args) -> int:
@@ -201,9 +198,12 @@ def cmd_converge(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     for econf in configs:
         curves = run_ensemble(econf, stats, workers=args.workers)
-        for s in stats:
-            path = os.path.join(out_dir, f"curve_nq{econf.n_q}_{s.label}.csv")
-            _write_curve_csv(path, econf, s.label, curves[s.label])
+        n_r = econf.resolved_n_r()
+        for s in stats:  # one curve file per statistic, a row per (n_g, D) point
+            rows = ([econf.n_q, ng, s.label, _fmt(d), n_r, econf.master_seed]
+                    for ng, d in curves[s.label])
+            _write_csv(os.path.join(out_dir, f"curve_nq{econf.n_q}_{s.label}.csv"),
+                       _CURVE_FIELDS, rows)
     manifest = {
         "config": cfg,
         "package_version": __version__,
@@ -277,34 +277,23 @@ def cmd_nstar_fit(args) -> int:
     warnings = 0
     for label in sorted(curves):
         by_nq = curves[label]
-        nstar_path = os.path.join(out_dir, f"nstar_{label}.csv")
-        fits_path = os.path.join(out_dir, f"fits_{label}.csv")
-        with open(nstar_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["nq", "ln_eps", "n_star"])
-            table = defaultdict(list)
-            for ln_eps in ln_eps_list:
-                eps = math.exp(ln_eps)
-                for nq in sorted(by_nq):
-                    ns = n_star(by_nq[nq], eps)
-                    writer.writerow([nq, _fmt(ln_eps), "NA" if ns is None else ns])
-                    if ns is not None:
-                        table[ln_eps].append((nq, ns))
-        with open(fits_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "ln_eps", "a", "b", "chi2"])
-            for ln_eps in ln_eps_list:
-                pts = table.get(ln_eps, [])
-                if len(pts) < 3:
-                    warnings += 1
-                    print(f"warning: {label} ln_eps={ln_eps}: only {len(pts)} "
-                          "reachable points, fits skipped", file=sys.stderr)
-                    for model in MODELS:
-                        writer.writerow([model, _fmt(ln_eps), "NA", "NA", "NA"])
-                    continue
-                for model in MODELS:
-                    writer.writerow([model, _fmt(ln_eps),
-                                     *map(_fmt, fit_model(pts, ln_eps, model))])
+        stars = {(ln_eps, nq): n_star(by_nq[nq], math.exp(ln_eps))
+                 for ln_eps in ln_eps_list for nq in sorted(by_nq)}
+        _write_csv(os.path.join(out_dir, f"nstar_{label}.csv"), ["nq", "ln_eps", "n_star"],
+                   ([nq, _fmt(ln_eps), "NA" if ns is None else ns]
+                    for (ln_eps, nq), ns in stars.items()))
+        fits = []
+        for ln_eps in ln_eps_list:
+            pts = [(nq, ns) for (x, nq), ns in stars.items() if x == ln_eps and ns is not None]
+            if len(pts) < 3:
+                warnings += 1
+                print(f"warning: {label} ln_eps={ln_eps}: only {len(pts)} "
+                      "reachable points, fits skipped", file=sys.stderr)
+            for model in MODELS:
+                fit = map(_fmt, fit_model(pts, ln_eps, model)) if len(pts) >= 3 else ["NA"] * 3
+                fits.append([model, _fmt(ln_eps), *fit])
+        _write_csv(os.path.join(out_dir, f"fits_{label}.csv"),
+                   ["model", "ln_eps", "a", "b", "chi2"], fits)
     if warnings:
         print(f"{warnings} fit group(s) skipped", file=sys.stderr)
     return EXIT_OK
@@ -393,10 +382,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type of every --seed and --index flag."""
+    """argparse type of every --seed flag."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _realization_index(text: str) -> int:
+    """argparse type of --index: a realization a run can draw, 0 <= i < 2**32."""
+    value = _non_negative_int(text)
+    if value >= 1 << 32:
+        raise argparse.ArgumentTypeError(f"must be < 2**32, got {value}")
     return value
 
 
@@ -448,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nq", type=int, required=True)
     p.add_argument("--ng", type=int, required=True)
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--index", type=_non_negative_int, default=0)
+    p.add_argument("--index", type=_realization_index, default=0)
     p.set_defaults(func=cmd_dump_circuit)
     return parser
 

@@ -3,12 +3,11 @@
 Circuits mix Haar-random U(2) single-qubit gates (probability ``p_g``) with
 CNOTs on uniformly chosen ordered qubit pairs (probability ``1 - p_g``).
 All randomness flows through numpy Generators derived deterministically from
-a 64-bit master seed and a realization index, so ensembles are reproducible
-independent of execution order. A realization's stream is numpy's
-``SeedSequence(master_seed, spawn_key=(index,))`` feeding PCG64. The
-runner's contiguous ranges of one-word (< 2**32) indices get their PCG64
-states at once from ``pcg64_states``; any other single stream is numpy's
-own (``realization_rng``).
+a non-negative integer master seed and a realization index below 2**32, so
+ensembles are reproducible independent of execution order. A realization's
+stream is numpy's ``SeedSequence(master_seed, spawn_key=(index,))`` feeding
+PCG64, whose states ``pcg64_states`` computes for a range of indices at once;
+the runner and ``sample_circuit`` both draw through ``realization_rngs``.
 
 A realization's gates are drawn as one ``GateTape`` row (``draw_tape``),
 and the tape is the one circuit format: ``sample_gate`` is a one-gate tape,
@@ -177,14 +176,6 @@ def realization_rngs(master_seed: int, start: int, stop: int):
         yield rng
 
 
-def realization_rng(master_seed: int, realization_index: int) -> np.random.Generator:
-    """Deterministic per-realization random stream, a Generator of its own:
-    numpy's ``default_rng(SeedSequence(master_seed, spawn_key=(index,)))``
-    at any index, which ``realization_rngs`` yields for one-word indices."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed,
-                                                        spawn_key=(realization_index,)))
-
-
 def su2_entries(psi, chi, phi, out=None) -> np.ndarray:
     """Entries [[c e^{i psi}, s e^{i chi}], [-s e^{-i chi}, c e^{-i psi}]],
     c = cos phi and s = sin phi, of the phase-free part e^{-i alpha} u of
@@ -319,8 +310,10 @@ def sample_u2_angles(rng: np.random.Generator) -> np.ndarray:
 
 def sample_circuit(master_seed: int, realization_index: int, n_q: int, n_g: int,
                    p_g: float = 0.5) -> GateTape:
-    """One realization's one-row tape; extending n_g preserves the gate prefix."""
-    return draw_tape([realization_rng(master_seed, realization_index)], n_q, n_g, p_g)
+    """One realization's one-row tape, the row the runner draws for it;
+    extending n_g preserves the gate prefix."""
+    return draw_tape(realization_rngs(master_seed, realization_index, realization_index + 1),
+                     n_q, n_g, p_g, rows=1)
 
 
 def circuit_to_text(tape: GateTape, master_seed: int, realization_index: int) -> str:

@@ -3,7 +3,6 @@ PASS line when it completes (run with -s or -v to see them)."""
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from ucesim import cli
 from ucesim.column_sim import dense_unitary_oracle, iter_checkpoints, simulate_first_column
 from ucesim.cue_ref import cue_correlator, cue_moment, sample_haar_first_columns
 from ucesim.ensemble_stats import Histogram, StatisticKind, fold_block, mean_over_states
-from ucesim.gateset import EnsembleConfig, draw_tape, realization_rng, sample_circuit
+from ucesim.gateset import EnsembleConfig, draw_tape, realization_rngs, sample_circuit
 from ucesim.runner import geometric_checkpoints, run_ensemble
 from ucesim.scaling import fit_model, n_star, saturation_floor
 
@@ -37,7 +36,7 @@ def test_criterion_1_oracle_equivalence():
 
 def test_criterion_2_norm_conservation():
     # The runner's own path: a tape of 100 realizations through iter_checkpoints.
-    tape = draw_tape([realization_rng(MASTER_SEED + 1, r) for r in range(100)], 10, 1000)
+    tape = draw_tape(realization_rngs(MASTER_SEED + 1, 0, 100), 10, 1000, rows=100)
     worst = 0.0
     for _, block in iter_checkpoints(tape, [1000]):
         worst = max(worst, float(np.max(np.abs(np.sum(np.abs(block) ** 2, axis=1) - 1.0))))
@@ -157,17 +156,16 @@ def test_criterion_8_desk_scale_scaling_study():
 def test_criterion_9_determinism(tmp_path, capsys):
     outs = {}
     for tag, workers in (("w1a", 1), ("w1b", 1), ("w8", 8)):
-        out = str(tmp_path / tag)
+        outs[tag] = tmp_path / tag
         assert cli.main(["converge", "--nq", "3,4", "--statistics", "pl,mu2",
                          "--nr", "200", "--checkpoints", "5,10,20,40",
                          "--seed", "7", "--workers", str(workers),
-                         "--out", out]) == 0
-        outs[tag] = out
+                         "--out", str(outs[tag])]) == 0
     for name in ("curve_nq3_pl.csv", "curve_nq3_mu2.csv", "curve_nq4_pl.csv",
                  "curve_nq4_mu2.csv", "manifest.json"):
-        ref = open(os.path.join(outs["w1a"], name), "rb").read()
-        assert open(os.path.join(outs["w1b"], name), "rb").read() == ref
-        assert open(os.path.join(outs["w8"], name), "rb").read() == ref
+        ref = (outs["w1a"] / name).read_bytes()
+        assert (outs["w1b"] / name).read_bytes() == ref
+        assert (outs["w8"] / name).read_bytes() == ref
     for tag in ("g1", "g2"):
         assert cli.main(["gap", "--samples", "20000", "--seed", "4",
                          "--out", str(tmp_path / f"{tag}.json")]) == 0

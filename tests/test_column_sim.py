@@ -28,7 +28,7 @@ from ucesim.gateset import (
     EnsembleConfig,
     GateTape,
     draw_tape,
-    realization_rng,
+    realization_rngs,
     sample_circuit,
     u2_matrix,
 )
@@ -213,8 +213,8 @@ def test_iter_checkpoints_applies_no_gate_past_the_last_checkpoint():
     # Both walks: a tape longer than the last checkpoint gives the columns
     # of the tape cut at it.
     for n_q in (3, BLOCK_MAX_N_Q + 1):
-        long = draw_tape([realization_rng(5, r) for r in range(2)], n_q, 10)
-        short = draw_tape([realization_rng(5, r) for r in range(2)], n_q, 5)
+        long = draw_tape(realization_rngs(5, 0, 2), n_q, 10, rows=2)
+        short = draw_tape(realization_rngs(5, 0, 2), n_q, 5, rows=2)
         assert list(iter_checkpoints(long, [])) == []
         got = [(k, b.copy()) for k, b in iter_checkpoints(long, [2, 5])]
         want = [(k, b.copy()) for k, b in iter_checkpoints(short, [2, 5])]
@@ -233,7 +233,7 @@ def test_iter_checkpoints_rejects_bad_checkpoints():
 def test_n_q_and_checkpoint_rules_have_one_owner():
     # A run's config, a column and a walk reject the same bad n_q or
     # checkpoints with the same message.
-    empty = draw_tape([realization_rng(0, 0)], 1, 0)
+    empty = sample_circuit(0, 0, 1, 0)
     for n_q, message in ((0, "n_q=0 must be >= 1"),
                          (MAX_N_Q + 1, f"n_q={MAX_N_Q + 1} exceeds memory cap {MAX_N_Q}")):
         tape = GateTape(n_q, empty.is_u2, empty.qubit, empty.target, empty.angles)
@@ -277,7 +277,7 @@ def test_block_step_equals_view_kernels_and_dense_oracle():
         n = 1 << n_q
         index = np.arange(n)
         for rows in (1, 64):
-            tape = draw_tape([realization_rng(n_q, r) for r in range(rows)], n_q, 40)
+            tape = draw_tape(realization_rngs(n_q, 0, rows), n_q, 40, rows=rows)
             m = tape.matrices()
             block = np.zeros((rows, n), dtype=complex)
             block[:, 0] = 1.0
@@ -311,7 +311,7 @@ def test_block_step_equals_view_kernels_and_dense_oracle():
 
 def test_walk_columns_equals_walk_block_above_the_crossover():
     n_q = BLOCK_MAX_N_Q + 1
-    tape = draw_tape([realization_rng(n_q, r) for r in range(3)], n_q, 80)
+    tape = draw_tape(realization_rngs(n_q, 0, 3), n_q, 80, rows=3)
     cps = [5, 40, 80]
     blocks = {k: b.copy() for k, b in walk_block(tape, cps)}
     columns = [(k, b[0].copy()) for k, b in walk_columns(tape, cps)]
@@ -324,7 +324,7 @@ def test_walk_columns_equals_walk_block_above_the_crossover():
 
 def random_u2s(seed, count):
     """``count`` Haar U(2)s as nested lists, as ``fuse_u2_runs`` reads them."""
-    return draw_tape([realization_rng(seed, 0)], 1, count, 1.0).matrices()[0].tolist()
+    return sample_circuit(seed, 0, 1, count, 1.0).matrices()[0].tolist()
 
 
 def test_fuse_u2_runs_merges_across_other_qubits_in_product_order():
@@ -362,7 +362,7 @@ def test_walk_columns_closes_a_run_at_each_checkpoint(monkeypatch):
         return real(state, q, m)
 
     monkeypatch.setattr(cs, "apply_single_qubit", counted)
-    tape = draw_tape([realization_rng(6, 0)], 1, 4, 1.0)
+    tape = sample_circuit(6, 0, 1, 4, 1.0)
     for cps, applied in (([4], 1), ([2, 4], 2), ([1, 2, 3, 4], 4)):
         calls.clear()
         columns = [b[0].copy() for _, b in walk_columns(tape, cps)]
@@ -373,7 +373,7 @@ def test_walk_columns_closes_a_run_at_each_checkpoint(monkeypatch):
 
 def test_walk_columns_equals_kernels_over_its_fused_gates():
     for n_q in (3, 10, 12):
-        tape = draw_tape([realization_rng(n_q, r) for r in range(2)], n_q, 20 * n_q)
+        tape = draw_tape(realization_rngs(n_q, 0, 2), n_q, 20 * n_q, rows=2)
         cps = [1, 7, 10 * n_q, 20 * n_q]
         columns = [b[0].copy() for _, b in walk_columns(tape, cps)]
         expected = fused_kernel_columns(tape, cps)
@@ -388,7 +388,7 @@ def test_windowed_walk_equals_one_pass_per_gate(monkeypatch):
     import ucesim.column_sim as cs
     monkeypatch.setattr(cs, "THREAD_MIN_N_Q", 6)
     for n_q in (8, 9, 10):
-        tape = draw_tape([realization_rng(n_q, r) for r in range(2)], n_q, 30 * n_q)
+        tape = draw_tape(realization_rngs(n_q, 0, 2), n_q, 30 * n_q, rows=2)
         cps = [1, 7, 10 * n_q, 30 * n_q]
         expected = fused_kernel_columns(tape, cps)
         for threads in (1, 2, 3):
@@ -400,7 +400,7 @@ def test_windowed_walk_equals_one_pass_per_gate(monkeypatch):
 
 def test_windowed_walk_above_sixteen_qubits_equals_one_pass_per_gate():
     n_q = THREAD_MIN_N_Q + 1
-    tape = draw_tape([realization_rng(n_q, 0)], n_q, 40)
+    tape = sample_circuit(n_q, 0, n_q, 40)
     cps = [5, 40]
     expected = fused_kernel_columns(tape, cps)
     for threads in (1, 2):
@@ -422,7 +422,7 @@ def test_walk_above_sixteen_qubits_applies_block_gates_on_two_threads(monkeypatc
         return real(states, gates)
 
     monkeypatch.setattr(cs, "_apply_gates", recorded)
-    tape = draw_tape([realization_rng(n_q, 0)], n_q, 40)
+    tape = sample_circuit(n_q, 0, n_q, 40)
     for _ in walk_columns(tape, [40], threads=2):
         pass
     assert len(idents) == 2
@@ -432,7 +432,7 @@ def test_windowed_walk_at_n_q_22_allocates_a_few_mib_per_thread():
     # Each of the two tasks (this thread and one pool thread) works on its
     # block of the column in place, through under 1 MiB of kernel scratch;
     # nothing column-sized is allocated besides the column itself.
-    tape = draw_tape([realization_rng(22, 0)], 22, 30)
+    tape = sample_circuit(22, 0, 22, 30)
     threads = 2
     tracemalloc.start()
     try:
@@ -447,7 +447,7 @@ def test_windowed_walk_at_n_q_22_allocates_a_few_mib_per_thread():
 
 def test_fused_column_keeps_unit_norm():
     n_q = 12
-    tape = draw_tape([realization_rng(12, 0)], n_q, 40 * n_q)
+    tape = sample_circuit(12, 0, n_q, 40 * n_q)
     ((_, column),) = walk_columns(tape, [tape.n_g])
     assert abs(np.sum(np.abs(column[0]) ** 2) - 1.0) < 1e-12
 
@@ -484,10 +484,10 @@ def test_dense_oracle_guards_large_n_q():
     with pytest.raises(ValueError):
         dense_unitary_oracle(sample_circuit(0, 0, 9, 1))
     with pytest.raises(ValueError, match="one-row tape"):
-        dense_unitary_oracle(draw_tape([realization_rng(0, r) for r in range(2)], 2, 3))
+        dense_unitary_oracle(draw_tape(realization_rngs(0, 0, 2), 2, 3, rows=2))
 
 
 def test_norm_after_thousand_gates():
-    tape = draw_tape([realization_rng(77, 0)], 10, 1000)
+    tape = sample_circuit(77, 0, 10, 1000)
     ((_, block),) = iter_checkpoints(tape, [1000])
     assert abs(np.sum(np.abs(block[0]) ** 2) - 1.0) < 1e-10

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ucesim import cli
 from ucesim.gateset import (
     DRAW_ROWS,
     MAX_N_Q,
@@ -14,7 +15,6 @@ from ucesim.gateset import (
     circuit_to_text,
     draw_tape,
     pcg64_states,
-    realization_rng,
     realization_rngs,
     sample_circuit,
     sample_gate,
@@ -142,17 +142,11 @@ def test_distinct_realization_streams():
         assert not _same_tape(a, b)
 
 
-def test_realization_rng_independent_of_order():
-    a = realization_rng(5, 3).random(4)
-    realization_rng(5, 7).random(10)
-    b = realization_rng(5, 3).random(4)
-    assert np.array_equal(a, b)
-
-
-# Seeds of 1 to 6 uint32 words (either side of SeedSequence's pool of 4)
-# and indices of 1 and 2 words.
+# Seeds of 1 to 6 uint32 words, either side of SeedSequence's pool of 4,
+# where pcg64_states' count of hash steps changes, and one-word indices up
+# to the last a run can draw.
 ORACLE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 1, 2**128 + 7, 2**160 + 3)
-ORACLE_INDICES = (0, 1, 63, 64, 2**32 - 1, 2**32, 2**40 + 7)
+ORACLE_INDICES = (0, 1, 63, 64, 2**32 - 1)
 
 
 def _numpy_stream(seed, index):
@@ -163,8 +157,12 @@ def _numpy_stream(seed, index):
 def test_realization_streams_equal_numpy_seed_sequence():
     for seed in ORACLE_SEEDS:
         for index in ORACLE_INDICES:
-            want = _numpy_stream(seed, index).random(64).tobytes()
-            assert realization_rng(seed, index).random(64).tobytes() == want, (seed, index)
+            want = _numpy_stream(seed, index)
+            state = want.bit_generator.state["state"]
+            assert pcg64_states(seed, index, index + 1) == [(state["state"], state["inc"])], \
+                (seed, index)
+            (rng,) = realization_rngs(seed, index, index + 1)
+            assert rng.random(64).tobytes() == want.random(64).tobytes(), (seed, index)
     # The batch path takes one-word indices, up to the last one, and
     # refuses a range that reaches past 2**32.
     lo = 2**32 - 6
@@ -180,6 +178,28 @@ def test_realization_streams_equal_numpy_seed_sequence():
         want = [_numpy_stream(seed, i).bit_generator.state["state"] for i in range(130)]
         assert pcg64_states(seed, 0, 130) == [(s["state"], s["inc"]) for s in want]
     assert pcg64_states(5, 7, 7) == []
+
+
+def test_a_dumped_circuit_is_a_runs_circuit(capsys):
+    # sample_circuit, which dump-circuit and oracle-check print and check,
+    # is the row the runner draws for that realization in its batch (at the
+    # edges of its chunks of 64 and at the last index) and numpy's own stream.
+    seed, n_q, n_g = 20260823, 6, 60
+    for start, stop, indices in ((0, 128, (0, 63, 64)), (2**32 - 64, 2**32, (2**32 - 1,))):
+        batch = draw_tape(realization_rngs(seed, start, stop), n_q, n_g, rows=stop - start)
+        for i in indices:
+            circuit = sample_circuit(seed, i, n_q, n_g)
+            assert _same_tape(circuit, _part(batch, rows=slice(i - start, i - start + 1))), i
+            assert _same_tape(circuit, draw_tape([_numpy_stream(seed, i)], n_q, n_g)), i
+    # dump-circuit takes the indices a run can draw, and no others.
+    last = 2**32 - 1
+    argv = ["dump-circuit", "--nq", str(n_q), "--ng", str(n_g), "--seed", str(seed), "--index"]
+    assert cli.main([*argv, str(last)]) == 0
+    assert capsys.readouterr().out == circuit_to_text(sample_circuit(seed, last, n_q, n_g),
+                                                      seed, last)
+    assert cli.main([*argv, str(2**32)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: argument --index: must be < 2**32"), err
 
 
 def test_circuit_serialization_roundtrip():
@@ -252,8 +272,7 @@ def test_sample_u2_angles_are_a_one_qubit_tape_row():
 
 def test_draw_tape_prefix_property():
     for n_q in (1, 2, 4, 9):
-        rngs = lambda: [realization_rng(3, r) for r in range(5)]  # noqa: E731
-        short, long = draw_tape(rngs(), n_q, 12), draw_tape(rngs(), n_q, 40)
+        short, long = (draw_tape(realization_rngs(3, 0, 5), n_q, n_g, rows=5) for n_g in (12, 40))
         assert _same_tape(_part(long, gates=slice(12)), short)
         for r in range(5):
             assert _same_tape(_part(short, rows=slice(r, r + 1)),
@@ -264,8 +283,8 @@ def test_draw_tape_in_blocks_equals_row_by_row_draws():
     # 130 realizations are drawn in blocks of 64, 64 and 2; every byte
     # (signed zeros included) equals the one-row tapes stacked.
     for n_q, p_g in ((1, 0.5), (2, 0.5), (5, 0.3)):
-        tape = draw_tape([realization_rng(4, r) for r in range(130)], n_q, 50, p_g)
-        rows = [draw_tape([realization_rng(4, r)], n_q, 50, p_g) for r in range(130)]
+        tape = draw_tape(realization_rngs(4, 0, 130), n_q, 50, p_g, rows=130)
+        rows = [sample_circuit(4, r, n_q, 50, p_g) for r in range(130)]
         for f in TAPE_FIELDS:
             stacked = np.concatenate([getattr(row, f) for row in rows])
             assert getattr(tape, f).dtype == stacked.dtype, f
@@ -301,10 +320,9 @@ def test_draw_tape_holds_one_block_of_uniforms():
     # One call's peak is the tape, one DRAW_ROWS block of uniforms and the
     # temporaries converting it, each smaller than that block.
     rows, n_q, n_g = 130, 6, 400
-    rngs = [realization_rng(6, r) for r in range(rows)]
     tracemalloc.start()
     try:
-        tape = draw_tape(rngs, n_q, n_g)
+        tape = draw_tape(realization_rngs(6, 0, rows), n_q, n_g, rows=rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -333,7 +351,7 @@ def test_draw_tape_layout_and_ranges():
 
 
 def test_su2_entries_times_the_phase_are_u2_matrices_byte_for_byte():
-    tape = draw_tape([realization_rng(4, r) for r in range(2)], 3, 200, 1.0)
+    tape = draw_tape(realization_rngs(4, 0, 2), 3, 200, 1.0, rows=2)
     for angles in (tape.angles.reshape(-1, 4), np.array([0.3, 1.2, 5.9, 0.7]),
                    np.zeros(4), np.array([-2.5, 7.0, -0.1, 1.1])):
         alpha, psi, chi, phi = np.moveaxis(angles, -1, 0)  # 0-d for one gate
@@ -345,7 +363,7 @@ def test_su2_entries_times_the_phase_are_u2_matrices_byte_for_byte():
 
 
 def test_tape_matrices_are_u2_matrix_and_roundtrip_gates():
-    tape = draw_tape([realization_rng(2, r) for r in range(3)], 4, 30)
+    tape = draw_tape(realization_rngs(2, 0, 3), 4, 30, rows=3)
     m = tape.matrices()
     for r in range(3):
         for g in range(tape.n_g):
@@ -355,7 +373,7 @@ def test_tape_matrices_are_u2_matrix_and_roundtrip_gates():
                 assert not m[r, g].any() and not tape.angles[r, g].any()
     # The walks build matrices per realization or per span of gates: every
     # part of the grid gets the same bits as the whole tape.
-    tape = draw_tape([realization_rng(3, r) for r in range(64)], 4, 300)
+    tape = draw_tape(realization_rngs(3, 0, 64), 4, 300, rows=64)
     m = tape.matrices().view(np.int64)
     for index in (np.s_[5], np.s_[:, 7:8], np.s_[:, 3:67], np.s_[:, 100:300], np.s_[10:13, 1:250]):
         assert np.array_equal(tape.matrices(index).view(np.int64), m[index]), index
