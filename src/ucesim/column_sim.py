@@ -42,8 +42,9 @@ BLOCK_GROUP = 1 << 14
 # each gate were slower at n_q 16 (ROADMAP, "Measurements that the code
 # points to").
 THREAD_MIN_N_Q = 16
-# block_step coefficients (d0, d1, o0, o1) of a CNOT.
-_CNOT_COEF = np.array([1, 0, 0, 1], dtype=complex)
+# block_step coefficients (m00, m01, m10, m11) of a CNOT: keep a_i where the
+# control bit is 0, take the partner where it is 1.
+_CNOT_COEF = np.array([1, 0, 1, 0], dtype=complex)
 
 
 @dataclass
@@ -142,16 +143,17 @@ def block_step(amps: np.ndarray, upper: np.ndarray, partner: np.ndarray,
     """Apply one gate to every row of an (R, N) block of columns, in place.
 
     a_i <- d a_i + o a_j with j = ``partner`` (flat index into ``amps``) and
-    (d, o) = (d1, o1) where ``upper`` is set, else (d0, o0); ``coef`` holds
-    (d0, d1, o0, o1), each of shape (R, 1). A U(2) m on qubit q selects on
-    bit q, pairs i with i ^ (1 << q) and takes (m00, m11, m01, m10); a
-    CNOT(c, t) selects on bit c, pairs i with i ^ (1 << t) and takes
-    (1, 0, 0, 1). Each new amplitude is the same two products, summed, as
-    in ``apply_single_qubit``/``apply_cnot``, so the columns agree bit for bit.
+    (d, o) = (m11, m10) where ``upper`` is set, else (m00, m01); ``coef``
+    holds the 2x2 matrix entries (m00, m01, m10, m11), each of shape (R, 1).
+    A U(2) m on qubit q selects on bit q, pairs i with i ^ (1 << q) and
+    takes m; a CNOT(c, t) selects on bit c, pairs i with i ^ (1 << t) and
+    takes (1, 0, 1, 0). Each new amplitude is the same two products, summed,
+    as in ``apply_single_qubit``/``apply_cnot``, so the columns agree bit
+    for bit.
     """
-    d0, d1, o0, o1 = coef
-    d = np.where(upper, d1, d0)
-    o = np.where(upper, o1, o0)
+    m00, m01, m10, m11 = coef
+    d = np.where(upper, m11, m00)
+    o = np.where(upper, m10, m01)
     np.multiply(d, amps, out=d)
     np.multiply(o, amps.take(partner), out=o)
     return np.add(d, o, out=amps)
@@ -174,25 +176,19 @@ def walk_block(tape: GateTape, checkpoints):
     amps[:, 0] = 1.0
     group = max(1, BLOCK_GROUP >> n_q)
     offsets = np.arange(min(group, rows))[:, None] << n_q
-    # coef: (d0, d1, o0, o1) = (m00, m11, m01, m10) of gates [base, top),
-    # shaped (top - base, 4, R, 1). It is rebuilt when a segment runs past
-    # top, for that segment and at least ``span`` gates (BLOCK_GROUP complex
-    # values, 256 KiB), not for the whole tape.
-    span = max(1, BLOCK_GROUP // (4 * rows))
-    done = base = top = 0
+    done = 0
     for k, cp in enumerate(checkpoints):
-        if cp > top:
-            base, top = done, min(tape.n_g, max(cp, done + span))
-            gates = np.s_[:, base:top]
-            coef = tape.matrices(gates).reshape(rows, -1, 4)[..., [0, 3, 1, 2]]
-            coef[~tape.is_u2[gates]] = _CNOT_COEF
-            coef = coef.transpose(1, 2, 0)[..., None]
+        # The segment's 2x2 matrices, built once: (cp - done, 4, R, 1).
+        gates = np.s_[:, done:cp]
+        coef = tape.matrices(gates).reshape(rows, -1, 4)
+        coef[~tape.is_u2[gates]] = _CNOT_COEF
+        coef = coef.transpose(1, 2, 0)[..., None]
         for lo in range(0, rows, group):
             rs = slice(lo, lo + group)
             block = amps[rs]
             for g in range(done, cp):
                 block_step(block, upper[sel[g, rs]],
-                           flipped[part[g, rs]] + offsets[:len(block)], coef[g - base, :, rs])
+                           flipped[part[g, rs]] + offsets[:len(block)], coef[g - done, :, rs])
         done = cp
         yield k, amps
 

@@ -285,8 +285,7 @@ def test_block_step_equals_view_kernels_and_dense_oracle():
             for g in range(tape.n_g):
                 sel, part = tape.qubit[:, g, None], tape.target[:, g, None]
                 u2 = tape.is_u2[:, g]
-                coef = np.where(u2[:, None], m[:, g].reshape(rows, 4)[:, [0, 3, 1, 2]],
-                                [1, 0, 0, 1]).T[..., None]
+                coef = np.where(u2[:, None], m[:, g].reshape(rows, 4), [1, 0, 1, 0]).T[..., None]
                 partner = (index ^ (1 << part)) + n * np.arange(rows)[:, None]
                 block_step(block, ((index >> sel) & 1).astype(bool), partner, coef)
                 for r, state in enumerate(states):
@@ -307,6 +306,32 @@ def test_block_step_equals_view_kernels_and_dense_oracle():
                     oracle = dense_unitary_oracle(row)[:, 0]
                     assert np.max(np.abs(block[r] - oracle)) < 1e-12, (n_q, rows, r)
                     assert np.max(np.abs(columns[r] - oracle)) < 1e-12, (n_q, rows, r)
+
+
+def test_walk_block_equals_gate_by_gate_block_steps_at_any_checkpoints():
+    # walk_block steps rows in groups and builds each checkpoint segment's
+    # coefficients on its own: at 1, 2 and 3 row groups and at any
+    # checkpoints, its last block equals block_step driven gate by gate
+    # over the whole ungrouped block, bit for bit.
+    n_g = 60
+    for n_q, rows, groups in ((4, 700, 1), (8, 80, 2), (9, 96, 3)):
+        assert -(-rows // (BLOCK_GROUP >> n_q)) == groups
+        tape = draw_tape(realization_rngs(n_q, 0, rows), n_q, n_g, rows=rows)
+        n = 1 << n_q
+        index = np.arange(n)
+        m = tape.matrices()
+        block = np.zeros((rows, n), dtype=complex)
+        block[:, 0] = 1.0
+        for g in range(n_g):
+            sel, part = tape.qubit[:, g, None], tape.target[:, g, None]
+            coef = np.where(tape.is_u2[:, g, None], m[:, g].reshape(rows, 4),
+                            [1, 0, 1, 0]).T[..., None]
+            partner = (index ^ (1 << part)) + n * np.arange(rows)[:, None]
+            block_step(block, ((index >> sel) & 1).astype(bool), partner, coef)
+        for cps in ([n_g], range(1, n_g + 1), [0, 7, 31, n_g]):
+            *_, (k, walked) = walk_block(tape, cps)
+            assert k == len(cps) - 1
+            assert np.array_equal(walked.view(np.int64), block.view(np.int64)), (n_q, cps)
 
 
 def test_walk_columns_equals_walk_block_above_the_crossover():

@@ -371,8 +371,8 @@ def test_tape_matrices_are_u2_matrix_and_roundtrip_gates():
                 assert np.array_equal(u2_matrix(tape.angles[r, g]), m[r, g])
             else:
                 assert not m[r, g].any() and not tape.angles[r, g].any()
-    # The walks build matrices per realization or per span of gates: every
-    # part of the grid gets the same bits as the whole tape.
+    # The walks build matrices per realization or per checkpoint segment:
+    # every part of the grid gets the same bits as the whole tape.
     tape = draw_tape(realization_rngs(3, 0, 64), 4, 300, rows=64)
     m = tape.matrices().view(np.int64)
     for index in (np.s_[5], np.s_[:, 7:8], np.s_[:, 3:67], np.s_[:, 100:300], np.s_[10:13, 1:250]):
