@@ -20,19 +20,16 @@ import numpy as np
 
 from .gateset import TAPE_COLUMNS, haar_angles, su2_entries
 
-# 4x4 CNOTs on a qubit pair |hi, lo> (index = 2*hi + lo).
-CNOT_HI_CTRL = np.eye(4)[[0, 1, 3, 2]]
-CNOT_LO_CTRL = np.eye(4)[[0, 3, 2, 1]]
-
 # Fewest Haar samples the Monte Carlo path accepts.
 MIN_MC_SAMPLES = 10_000
 # Haar samples per batch of mc_two_copy_average.
 MC_CHUNK = 4096
 
-# Qubit slots (most significant first) carrying the single-qubit unitary in
-# the 8-qubit tensor space of the four 4-dim copies.
-_HI_POSITIONS = (0, 2, 4, 6)
-_LO_POSITIONS = (1, 3, 5, 7)
+# The 256 basis states of four copies of a qubit pair |hi, lo> (copy 0 most
+# significant), and their four hi bits and four lo bits as 4-bit indices.
+_I = np.arange(256)
+_HI = _I >> 4 & 8 | _I >> 3 & 4 | _I >> 2 & 2 | _I >> 1 & 1
+_LO = _I >> 3 & 8 | _I >> 2 & 4 | _I >> 1 & 2 | _I & 1
 
 
 def exact_two_copy_average() -> np.ndarray:
@@ -97,20 +94,11 @@ def mc_two_copy_average(sample_count: int, rng: np.random.Generator):
     return mean, sigma
 
 
-def embed_four_qubit_operator(m16: np.ndarray, positions) -> np.ndarray:
-    """Place a 4-qubit operator at the given slots of an 8-qubit space,
-    identity elsewhere; returns the 256x256 matrix."""
-    full = np.kron(m16, np.eye(16, dtype=m16.dtype))
-    # Slot j of the result reads axis perm[j] of the kron: the operator's
-    # qubits in ``positions`` order, then the identity's in slot order.
-    order = [*positions, *(j for j in range(8) if j not in positions)]
-    perm = [order.index(j) for j in range(8)]
-    axes = perm + [p + 8 for p in perm]
-    return full.reshape((2,) * 16).transpose(axes).reshape(256, 256)
-
-
-def _kron4(m: np.ndarray) -> np.ndarray:
-    return np.kron(np.kron(m, m), np.kron(m, m))
+def embed_four_qubit_operator(m16: np.ndarray, on, off) -> np.ndarray:
+    """The 256x256 matrix acting as ``m16`` on one qubit of each copy where
+    the other qubits agree: entry (i, j) is m16[on[i], on[j]] if off[i] ==
+    off[j], else 0, with (on, off) = (_HI, _LO) or (_LO, _HI)."""
+    return m16[on[:, None], on] * (off[:, None] == off)
 
 
 def build_moment_operator(sample_count: int = 100_000,
@@ -131,10 +119,11 @@ def build_moment_operator(sample_count: int = 100_000,
         m_hi, s_hi = mc_two_copy_average(sample_count, rng)
         m_lo, s_lo = mc_two_copy_average(sample_count, rng)
         sigma = 0.25 * math.hypot(s_hi, s_lo)
-    t_hi = embed_four_qubit_operator(m_hi, _HI_POSITIONS)
-    t_lo = embed_four_qubit_operator(m_lo, _LO_POSITIONS)
-    c_hi = _kron4(CNOT_HI_CTRL).astype(complex)
-    c_lo = _kron4(CNOT_LO_CTRL).astype(complex)
+    t_hi = embed_four_qubit_operator(m_hi, _HI, _LO)
+    t_lo = embed_four_qubit_operator(m_lo, _LO, _HI)
+    # CNOT terms permute the basis, flipping each copy's target with its control.
+    c_hi = np.eye(256, dtype=complex)[_I ^ ((_I >> 1) & 0x55)]
+    c_lo = np.eye(256, dtype=complex)[_I ^ ((_I & 0x55) << 1)]
     g = 0.25 * (t_hi + t_lo + c_hi + c_lo)
     return g, sigma
 

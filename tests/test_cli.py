@@ -464,7 +464,6 @@ def test_oracle_check_detects_injected_fault(monkeypatch, capsys):
 
 def test_oracle_check_usage_errors():
     assert run(["oracle-check", "--trials", "0"]) == 1
-    assert run(["oracle-check", "--nq-max", "9"]) == 1
 
 
 def test_dump_circuit_roundtrip(capsys):

@@ -11,8 +11,8 @@ import ucesim
 from ucesim.cue_ref import sample_haar_unitary
 from ucesim.gateset import draw_tape
 from ucesim.moment_operator import (
-    CNOT_HI_CTRL,
-    CNOT_LO_CTRL,
+    _HI,
+    _LO,
     MC_CHUNK,
     build_moment_operator,
     embed_four_qubit_operator,
@@ -33,8 +33,8 @@ def test_embed_matches_direct_kron_both_slots():
     m16 = np.kron(np.kron(u, u), np.kron(u.conj(), u.conj()))
     upper = two_copy_tensor(np.kron(u, np.eye(2)))
     lower = two_copy_tensor(np.kron(np.eye(2), u))
-    assert np.allclose(embed_four_qubit_operator(m16, (0, 2, 4, 6)), upper, atol=1e-13)
-    assert np.allclose(embed_four_qubit_operator(m16, (1, 3, 5, 7)), lower, atol=1e-13)
+    assert np.allclose(embed_four_qubit_operator(m16, _HI, _LO), upper, atol=1e-13)
+    assert np.allclose(embed_four_qubit_operator(m16, _LO, _HI), lower, atol=1e-13)
 
 
 def test_mc_average_is_the_mean_of_its_tape_draws():
@@ -178,10 +178,20 @@ def test_full_two_qubit_haar_group_has_unit_gap():
     assert gap > 0.8
 
 
-def test_cnot_matrices_are_self_inverse_permutations():
-    for c in (CNOT_HI_CTRL, CNOT_LO_CTRL):
-        assert np.array_equal(c @ c, np.eye(4))
-        assert np.array_equal(c.sum(axis=0), np.ones(4))
+def test_operator_is_the_sum_of_its_four_gate_terms():
+    # The CNOT basis permutations against two_copy_tensor of the 4x4 CNOTs on
+    # |hi, lo> (index 2*hi + lo), summed in build_moment_operator's order.
+    c_hi = np.eye(4)[[0, 1, 3, 2]]  # hi controls lo
+    c_lo = np.eye(4)[[0, 3, 2, 1]]  # lo controls hi
+    rng = np.random.default_rng(4)
+    mc = [mc_two_copy_average(20_000, rng)[0] for _ in range(2)]
+    cases = [(build_moment_operator(exact=True)[0], [exact_two_copy_average()] * 2),
+             (build_moment_operator(20_000, np.random.default_rng(4))[0], mc)]
+    for g, (m_hi, m_lo) in cases:
+        t_hi = embed_four_qubit_operator(m_hi, _HI, _LO)
+        t_lo = embed_four_qubit_operator(m_lo, _LO, _HI)
+        assert np.array_equal(
+            g, 0.25 * (t_hi + t_lo + two_copy_tensor(c_hi) + two_copy_tensor(c_lo)))
 
 
 def test_mc_sample_count_guard():
